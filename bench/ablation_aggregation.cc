@@ -78,8 +78,9 @@ int main() {
 
           // Plain Def. 2 group top-z: the aggregation picks the set.
           std::vector<ScoredItem> scored;
-          for (const GroupCandidate& c : ctx.candidates()) {
-            scored.push_back({c.item, c.group_relevance});
+          for (int32_t c = 0; c < ctx.num_candidates(); ++c) {
+            const GroupCandidate candidate = ctx.candidate(c);
+            scored.push_back({candidate.item, candidate.group_relevance});
           }
           std::vector<ItemId> plain_items;
           for (const ScoredItem& s : SelectTopK(scored, z)) {

@@ -95,8 +95,9 @@ int main() {
 
   // ---- Bonus: the distributed top-k of [5] ---------------------------
   std::vector<ScoredItem> group_scores;
-  for (const GroupCandidate& c : result.context.candidates()) {
-    group_scores.push_back({c.item, c.group_relevance});
+  for (int32_t c = 0; c < result.context.num_candidates(); ++c) {
+    const GroupCandidate candidate = result.context.candidate(c);
+    group_scores.push_back({candidate.item, candidate.group_relevance});
   }
   const auto top = MapReduceTopK(group_scores, 5);
   std::printf("\ndistributed top-5 by group relevance (MapReduce top-k [5]):\n");

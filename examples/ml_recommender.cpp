@@ -83,8 +83,7 @@ int main() {
   GroupContextOptions ctx_options;
   ctx_options.top_k = 10;
   const auto members =
-      std::move(model.RelevanceForGroup(scenario.ratings, group, ctx_options.top_k))
-          .ValueOrDie();
+      std::move(model.RelevanceForGroup(scenario.ratings, group)).ValueOrDie();
   const GroupContext context =
       std::move(GroupContext::Build(members, ctx_options)).ValueOrDie();
   const FairnessHeuristic algorithm1;

@@ -116,7 +116,6 @@ Result<std::vector<MemberRelevance>> Recommender::RelevanceForGroupWith(
     // Job-1 semantics: potential peers are users outside the group.
     member.peers = finder.FindPeers(u, group);
     member.relevance = estimator_.EstimateAll(member.peers, candidates, scratch);
-    member.top_k = SelectTopK(member.relevance, options_.top_k);
     out.push_back(std::move(member));
   }
   return out;

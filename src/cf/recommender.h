@@ -28,8 +28,6 @@ struct MemberRelevance {
   /// relevance(u, i) for each candidate item with a defined estimate,
   /// ordered by ascending item id.
   std::vector<ScoredItem> relevance;
-  /// The member's A_u: top-k of `relevance`.
-  std::vector<ScoredItem> top_k;
 };
 
 /// Single-user collaborative-filtering recommender (§III-A): peers via

@@ -5,12 +5,7 @@
 
 namespace fairrec {
 
-bool ScoredItemBetter(const ScoredItem& a, const ScoredItem& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.item < b.item;
-}
-
-std::vector<ScoredItem> SelectTopK(const std::vector<ScoredItem>& scored,
+std::vector<ScoredItem> SelectTopK(std::span<const ScoredItem> scored,
                                    int32_t k) {
   if (k <= 0) return {};
   // Min-heap on "better": the root is the worst of the current top-k.

@@ -1,6 +1,7 @@
 #ifndef FAIRREC_CF_TOP_K_H_
 #define FAIRREC_CF_TOP_K_H_
 
+#include <span>
 #include <vector>
 
 #include "ratings/types.h"
@@ -14,11 +15,15 @@ namespace fairrec {
 /// This is the centralized top-k step of §IV ("trivial when k elements are
 /// small enough to fit in memory"); the distributed variant lives in
 /// mapreduce/topk_mapreduce.h.
-std::vector<ScoredItem> SelectTopK(const std::vector<ScoredItem>& scored, int32_t k);
+std::vector<ScoredItem> SelectTopK(std::span<const ScoredItem> scored,
+                                   int32_t k);
 
 /// Comparison used everywhere a "better" item must be chosen: true when `a`
 /// precedes `b` (higher score first; ascending id on ties).
-bool ScoredItemBetter(const ScoredItem& a, const ScoredItem& b);
+inline bool ScoredItemBetter(const ScoredItem& a, const ScoredItem& b) {
+  if (a.score != b.score) return a.score > b.score;
+  return a.item < b.item;
+}
 
 }  // namespace fairrec
 

@@ -36,30 +36,13 @@ Result<Selection> EnvySwapSelector::Select(const GroupContext& context,
   // (the satisfaction denominator); <= 0 marks "nothing defined".
   std::vector<double> best_possible(static_cast<size_t>(n), 0.0);
   for (int32_t mem = 0; mem < n; ++mem) {
-    bool any = false;
-    double best = 0.0;
-    for (const GroupCandidate& c : context.candidates()) {
-      const double score = c.member_relevance[static_cast<size_t>(mem)];
-      if (std::isnan(score)) continue;
-      best = any ? std::max(best, score) : score;
-      any = true;
-    }
-    best_possible[static_cast<size_t>(mem)] = any ? best : 0.0;
+    best_possible[static_cast<size_t>(mem)] =
+        context.BestRelevance(mem).value_or(0.0);
   }
 
   // ---- Seed: best-z by group relevance ---------------------------------
-  std::vector<int32_t> order(static_cast<size_t>(m));
-  for (int32_t c = 0; c < m; ++c) order[static_cast<size_t>(c)] = c;
-  std::sort(order.begin(), order.end(), [&context](int32_t a, int32_t b) {
-    const GroupCandidate& ca = context.candidate(a);
-    const GroupCandidate& cb = context.candidate(b);
-    if (ca.group_relevance != cb.group_relevance) {
-      return ca.group_relevance > cb.group_relevance;
-    }
-    return ca.item < cb.item;
-  });
-  order.resize(static_cast<size_t>(std::min(z, m)));
-  std::vector<int32_t> selected_indexes = std::move(order);
+  std::vector<int32_t> selected_indexes = context.CandidatesByGroupRelevance();
+  selected_indexes.resize(static_cast<size_t>(std::min(z, m)));
 
   std::vector<uint8_t> in_d(static_cast<size_t>(m), 0);
   for (const int32_t c : selected_indexes) in_d[static_cast<size_t>(c)] = 1;

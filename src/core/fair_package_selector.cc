@@ -22,16 +22,7 @@ Result<Selection> FairPackageSelector::Select(const GroupContext& context,
 
   // Candidates in descending group relevance (ties ascending item id): the
   // enumeration order, which makes the prefix-sum relevance bound tight.
-  std::vector<int32_t> ordered(static_cast<size_t>(m));
-  for (int32_t c = 0; c < m; ++c) ordered[static_cast<size_t>(c)] = c;
-  std::sort(ordered.begin(), ordered.end(), [&context](int32_t a, int32_t b) {
-    const GroupCandidate& ca = context.candidate(a);
-    const GroupCandidate& cb = context.candidate(b);
-    if (ca.group_relevance != cb.group_relevance) {
-      return ca.group_relevance > cb.group_relevance;
-    }
-    return ca.item < cb.item;
-  });
+  const std::vector<int32_t> ordered = context.CandidatesByGroupRelevance();
 
   // prefix_rel[p] = sum of the p most relevant candidates; the upper bound
   // for filling `slots` remaining picks from position `pos` onward is

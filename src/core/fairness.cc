@@ -40,14 +40,6 @@ std::vector<MemberBreakdown> ComputeMemberBreakdowns(
   for (int32_t m = 0; m < n; ++m) {
     MemberBreakdown& row = out[static_cast<size_t>(m)];
     const auto mem = static_cast<size_t>(m);
-    double best_possible = 0.0;
-    bool any_defined = false;
-    for (const GroupCandidate& c : context.candidates()) {
-      const double score = c.member_relevance[mem];
-      if (std::isnan(score)) continue;
-      best_possible = any_defined ? std::max(best_possible, score) : score;
-      any_defined = true;
-    }
     for (const int32_t c : candidate_indexes) {
       if (context.InMemberTopK(m, c)) {
         row.satisfied = true;
@@ -58,8 +50,9 @@ std::vector<MemberBreakdown> ComputeMemberBreakdowns(
       row.relevance_sum += score;
       row.best_relevance = std::max(row.best_relevance, score);
     }
-    if (any_defined && best_possible > 0.0) {
-      row.satisfaction = row.best_relevance / best_possible;
+    const std::optional<double> best_possible = context.BestRelevance(m);
+    if (best_possible && *best_possible > 0.0) {
+      row.satisfaction = row.best_relevance / *best_possible;
     }
   }
   return out;

@@ -63,21 +63,9 @@ Result<Selection> FairnessHeuristic::Select(const GroupContext& context,
 
   if (options_.fill_shortfall && static_cast<int32_t>(picked.size()) < z) {
     // Top up with the best remaining candidates by group relevance.
-    std::vector<int32_t> remaining;
-    for (int32_t c = 0; c < m; ++c) {
-      if (selected[static_cast<size_t>(c)] == 0) remaining.push_back(c);
-    }
-    std::sort(remaining.begin(), remaining.end(), [&](int32_t a, int32_t b) {
-      const GroupCandidate& ca = context.candidate(a);
-      const GroupCandidate& cb = context.candidate(b);
-      if (ca.group_relevance != cb.group_relevance) {
-        return ca.group_relevance > cb.group_relevance;
-      }
-      return ca.item < cb.item;
-    });
-    for (const int32_t c : remaining) {
+    for (const int32_t c : context.CandidatesByGroupRelevance()) {
       if (static_cast<int32_t>(picked.size()) >= z) break;
-      picked.push_back(c);
+      if (selected[static_cast<size_t>(c)] == 0) picked.push_back(c);
     }
   }
 

@@ -26,7 +26,7 @@ Result<Selection> GreedyValueSelector::Select(const GroupContext& context,
     double best_rel = 0.0;
     for (int32_t c = 0; c < m; ++c) {
       if (selected[static_cast<size_t>(c)] != 0) continue;
-      const GroupCandidate& cand = context.candidate(c);
+      const GroupCandidate cand = context.candidate(c);
       // Value of D ∪ {c} from the incremental state.
       int32_t fair_after = fair_members;
       for (int32_t mem = 0; mem < n; ++mem) {

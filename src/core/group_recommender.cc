@@ -45,8 +45,9 @@ Result<std::vector<ScoredItem>> GroupRecommender::TopKForGroup(const Group& grou
   FAIRREC_ASSIGN_OR_RETURN(GroupContext context, BuildContext(group));
   std::vector<ScoredItem> scored;
   scored.reserve(static_cast<size_t>(context.num_candidates()));
-  for (const GroupCandidate& c : context.candidates()) {
-    scored.push_back({c.item, c.group_relevance});
+  for (int32_t c = 0; c < context.num_candidates(); ++c) {
+    const GroupCandidate candidate = context.candidate(c);
+    scored.push_back({candidate.item, candidate.group_relevance});
   }
   return SelectTopK(scored, k);
 }

@@ -26,7 +26,7 @@ Result<Selection> LeastMiserySelector::Select(const GroupContext& context,
     double best_group_rel = 0.0;
     for (int32_t c = 0; c < m; ++c) {
       if (selected[static_cast<size_t>(c)] != 0) continue;
-      const GroupCandidate& cand = context.candidate(c);
+      const GroupCandidate cand = context.candidate(c);
       double min_after = std::numeric_limits<double>::infinity();
       double total_after = 0.0;
       for (int32_t mem = 0; mem < n; ++mem) {

@@ -29,18 +29,8 @@ Result<Selection> LocalSearchSelector::Select(const GroupContext& context,
     }
   } else {
     // Best-z by group relevance.
-    std::vector<int32_t> order(static_cast<size_t>(m));
-    for (int32_t c = 0; c < m; ++c) order[static_cast<size_t>(c)] = c;
-    std::sort(order.begin(), order.end(), [&context](int32_t a, int32_t b) {
-      const GroupCandidate& ca = context.candidate(a);
-      const GroupCandidate& cb = context.candidate(b);
-      if (ca.group_relevance != cb.group_relevance) {
-        return ca.group_relevance > cb.group_relevance;
-      }
-      return ca.item < cb.item;
-    });
-    order.resize(static_cast<size_t>(std::min(z, m)));
-    selected_indexes = std::move(order);
+    selected_indexes = context.CandidatesByGroupRelevance();
+    selected_indexes.resize(static_cast<size_t>(std::min(z, m)));
   }
 
   // ---- Incremental state (same bookkeeping as the brute force) --------

@@ -8,15 +8,9 @@ namespace fairrec {
 double MemberSatisfaction(const GroupContext& context, int32_t member_index,
                           const std::vector<int32_t>& candidate_indexes) {
   const auto m = static_cast<size_t>(member_index);
-  double best_possible = 0.0;
-  bool any_defined = false;
-  for (const GroupCandidate& c : context.candidates()) {
-    const double score = c.member_relevance[m];
-    if (std::isnan(score)) continue;
-    best_possible = any_defined ? std::max(best_possible, score) : score;
-    any_defined = true;
-  }
-  if (!any_defined || best_possible <= 0.0) return -1.0;
+  const std::optional<double> best_possible =
+      context.BestRelevance(member_index);
+  if (!best_possible || *best_possible <= 0.0) return -1.0;
 
   double best_in_d = 0.0;
   for (const int32_t c : candidate_indexes) {
@@ -24,7 +18,7 @@ double MemberSatisfaction(const GroupContext& context, int32_t member_index,
     if (std::isnan(score)) continue;
     best_in_d = std::max(best_in_d, score);
   }
-  return best_in_d / best_possible;
+  return best_in_d / *best_possible;
 }
 
 SatisfactionStats GroupSatisfaction(const GroupContext& context,

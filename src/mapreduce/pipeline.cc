@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cf/top_k.h"
 #include "dist/partial_artifact.h"
 
 namespace fairrec {
@@ -110,9 +109,6 @@ Result<PipelineResult> GroupRecommendationPipeline::Run(
   context_options.aggregation = options_.aggregation;
   context_options.top_k = options_.top_k;
   context_options.require_all_members = options_.require_all_members;
-  for (MemberRelevance& member : members) {
-    member.top_k = SelectTopK(member.relevance, context_options.top_k);
-  }
   FAIRREC_ASSIGN_OR_RETURN(result.context,
                            GroupContext::Build(members, context_options));
 

@@ -6,7 +6,6 @@
 #include <string>
 #include <unordered_set>
 
-#include "cf/top_k.h"
 #include "common/logging.h"
 #include "common/random.h"
 
@@ -114,12 +113,9 @@ double MatrixFactorizationModel::Predict(UserId u, ItemId i) const {
 }
 
 Result<std::vector<MemberRelevance>> MatrixFactorizationModel::RelevanceForGroup(
-    const RatingMatrix& matrix, const Group& group, int32_t top_k) const {
+    const RatingMatrix& matrix, const Group& group) const {
   if (group.empty()) {
     return Status::InvalidArgument("group must not be empty");
-  }
-  if (top_k <= 0) {
-    return Status::InvalidArgument("top_k must be positive");
   }
   std::unordered_set<UserId> seen;
   for (const UserId u : group) {
@@ -142,7 +138,6 @@ Result<std::vector<MemberRelevance>> MatrixFactorizationModel::RelevanceForGroup
     for (const ItemId i : candidates) {
       member.relevance.push_back({i, Predict(u, i)});
     }
-    member.top_k = SelectTopK(member.relevance, top_k);
     out.push_back(std::move(member));
   }
   return out;

@@ -56,7 +56,7 @@ class MatrixFactorizationModel {
   /// the MF counterpart of cf::Recommender::RelevanceForGroup. MF predicts
   /// every cell, so peers are not involved and `peers` is left empty.
   Result<std::vector<MemberRelevance>> RelevanceForGroup(
-      const RatingMatrix& matrix, const Group& group, int32_t top_k) const;
+      const RatingMatrix& matrix, const Group& group) const;
 
   int32_t num_users() const { return num_users_; }
   int32_t num_items() const { return num_items_; }

@@ -20,7 +20,7 @@ TEST(GroupContextTest, RejectsEmptyMembers) {
 TEST(GroupContextTest, RejectsNonPositiveTopK) {
   GroupContextOptions options;
   options.top_k = 0;
-  EXPECT_TRUE(GroupContext::Build(MembersFromDense({{3.0}}, 1), options)
+  EXPECT_TRUE(GroupContext::Build(MembersFromDense({{3.0}}), options)
                   .status()
                   .IsInvalidArgument());
 }

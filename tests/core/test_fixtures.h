@@ -5,7 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "cf/top_k.h"
 #include "common/random.h"
 #include "core/fairness.h"
 #include "core/group_context.h"
@@ -19,7 +18,7 @@ inline constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 /// Builds per-member relevance tables from a dense score grid:
 /// scores[member][item], NaN marking "undefined for this member".
 inline std::vector<MemberRelevance> MembersFromDense(
-    const std::vector<std::vector<double>>& scores, int32_t top_k) {
+    const std::vector<std::vector<double>>& scores) {
   std::vector<MemberRelevance> members;
   for (size_t m = 0; m < scores.size(); ++m) {
     MemberRelevance member;
@@ -29,7 +28,6 @@ inline std::vector<MemberRelevance> MembersFromDense(
         member.relevance.push_back({static_cast<ItemId>(i), scores[m][i]});
       }
     }
-    member.top_k = SelectTopK(member.relevance, top_k);
     members.push_back(std::move(member));
   }
   return members;
@@ -39,8 +37,7 @@ inline std::vector<MemberRelevance> MembersFromDense(
 inline GroupContext ContextFromDense(
     const std::vector<std::vector<double>>& scores,
     GroupContextOptions options = {}) {
-  return std::move(GroupContext::Build(MembersFromDense(scores, options.top_k),
-                                       options))
+  return std::move(GroupContext::Build(MembersFromDense(scores), options))
       .ValueOrDie();
 }
 

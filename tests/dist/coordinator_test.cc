@@ -8,6 +8,7 @@
 #include <atomic>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/blob_io.h"
@@ -310,7 +311,11 @@ TEST(DistBuildCoordinatorTest, StragglerGetsSpeculativeAttemptThatWins) {
   auto options = BaseOptions(ScratchDir("straggler"), 2, &clock);
   options.worker_slots = 3;
   options.task_timeout_millis = 500;
+  // Virtual time moves only when the straggler moves it: an idle control
+  // loop must not age partition 1 past the threshold on its own.
+  options.poll_interval_millis = 0;
   DistBuildCoordinator coordinator(&matrix, options);
+  std::atomic<bool> partition1_finished{false};
   std::atomic<bool> speculative_finished{false};
   coordinator.set_worker_fn([&](const RatingMatrix& m,
                                 const PartitionDescriptor& partition,
@@ -318,15 +323,18 @@ TEST(DistBuildCoordinatorTest, StragglerGetsSpeculativeAttemptThatWins) {
                                 const DistWorkerOptions& worker_options,
                                 const std::string& path) -> Status {
     if (partition.index == 0 && attempt == 0) {
-      // The straggler: stall, advancing virtual time in slices, until the
-      // speculative attempt has demonstrably won — so the speculation path
-      // runs deterministically regardless of thread scheduling.
+      // The straggler: hold virtual time until partition 1 has finished, so
+      // only partition 0 can ever cross the threshold; then stall, advancing
+      // virtual time in slices, until the speculative attempt has
+      // demonstrably won.
+      while (!partition1_finished.load()) std::this_thread::yield();
       while (!speculative_finished.load()) clock.SleepMillis(50);
     }
     auto artifact =
         BuildPartialPeerArtifact(m, partition, attempt, worker_options);
     if (!artifact.ok()) return artifact.status();
     FAIRREC_RETURN_NOT_OK(artifact->WriteFile(path));
+    if (partition.index == 1) partition1_finished.store(true);
     if (partition.index == 0 && attempt > 0) {
       speculative_finished.store(true);
     }

@@ -1,5 +1,7 @@
 #include <memory>
 #include <set>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -203,8 +205,12 @@ TEST_F(EndToEndTest, SparsePeerGraphServingPathMatchesDenseTriangle) {
       EXPECT_EQ(sparse_ctx.candidate(c).item, dense_ctx.candidate(c).item);
       EXPECT_EQ(sparse_ctx.candidate(c).group_relevance,
                 dense_ctx.candidate(c).group_relevance);
-      EXPECT_EQ(sparse_ctx.candidate(c).member_relevance,
-                dense_ctx.candidate(c).member_relevance);
+      const std::span<const double> sparse_row =
+          sparse_ctx.candidate(c).member_relevance;
+      const std::span<const double> dense_row =
+          dense_ctx.candidate(c).member_relevance;
+      EXPECT_EQ(std::vector<double>(sparse_row.begin(), sparse_row.end()),
+                std::vector<double>(dense_row.begin(), dense_row.end()));
     }
     const Selection a =
         std::move(heuristic.Select(sparse_ctx, 6)).ValueOrDie();

@@ -139,14 +139,13 @@ TEST(MatrixFactorizationTest, RelevanceForGroupShapesMatchCfPath) {
   const auto model =
       std::move(MatrixFactorizationModel::Train(m, FastConfig())).ValueOrDie();
   const Group group{1, 5, 9};
-  const auto members = model.RelevanceForGroup(m, group, 6);
+  const auto members = model.RelevanceForGroup(m, group);
   ASSERT_TRUE(members.ok());
   ASSERT_EQ(members->size(), 3u);
   const std::vector<ItemId> candidates = m.ItemsUnratedByAll(group);
   for (const MemberRelevance& member : *members) {
     // MF scores every candidate (no abstention).
     EXPECT_EQ(member.relevance.size(), candidates.size());
-    EXPECT_LE(member.top_k.size(), 6u);
     EXPECT_TRUE(member.peers.empty());
     for (size_t i = 1; i < member.relevance.size(); ++i) {
       EXPECT_LT(member.relevance[i - 1].item, member.relevance[i].item);
@@ -158,16 +157,18 @@ TEST(MatrixFactorizationTest, RelevanceForGroupShapesMatchCfPath) {
   const auto context = GroupContext::Build(*members, options);
   ASSERT_TRUE(context.ok());
   EXPECT_EQ(context->num_candidates(), static_cast<int32_t>(candidates.size()));
+  for (int32_t member = 0; member < context->group_size(); ++member) {
+    EXPECT_LE(context->MemberTopK(member).size(), 6u);
+  }
 }
 
 TEST(MatrixFactorizationTest, RelevanceForGroupValidatesGroup) {
   const RatingMatrix m = LowRankMatrix(20, 20, 0.5, 10);
   const auto model =
       std::move(MatrixFactorizationModel::Train(m, FastConfig())).ValueOrDie();
-  EXPECT_TRUE(model.RelevanceForGroup(m, {}, 5).status().IsInvalidArgument());
-  EXPECT_TRUE(model.RelevanceForGroup(m, {0, 0}, 5).status().IsInvalidArgument());
-  EXPECT_TRUE(model.RelevanceForGroup(m, {999}, 5).status().IsInvalidArgument());
-  EXPECT_TRUE(model.RelevanceForGroup(m, {0}, 0).status().IsInvalidArgument());
+  EXPECT_TRUE(model.RelevanceForGroup(m, {}).status().IsInvalidArgument());
+  EXPECT_TRUE(model.RelevanceForGroup(m, {0, 0}).status().IsInvalidArgument());
+  EXPECT_TRUE(model.RelevanceForGroup(m, {999}).status().IsInvalidArgument());
 }
 
 }  // namespace
