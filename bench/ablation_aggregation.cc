@@ -16,7 +16,7 @@
 #include "cf/top_k.h"
 #include "common/string_util.h"
 #include "core/fairness_heuristic.h"
-#include "core/group_recommender.h"
+#include "core/group_context.h"
 #include "data/scenario.h"
 #include "eval/metrics.h"
 #include "eval/table.h"
@@ -72,9 +72,10 @@ int main() {
           GroupContextOptions options;
           options.aggregation = kind;
           options.top_k = 10;
-          const GroupRecommender group_rec(&recommender, options);
+          const auto members =
+              std::move(recommender.RelevanceForGroup(group)).ValueOrDie();
           const GroupContext ctx =
-              std::move(group_rec.BuildContext(group)).ValueOrDie();
+              std::move(GroupContext::Build(members, options)).ValueOrDie();
 
           // Plain Def. 2 group top-z: the aggregation picks the set.
           std::vector<ScoredItem> scored;

@@ -11,7 +11,7 @@
 #include "core/brute_force.h"
 #include "core/fairness_heuristic.h"
 #include "core/greedy_selector.h"
-#include "core/group_recommender.h"
+#include "core/group_context.h"
 #include "core/local_search.h"
 #include "data/scenario.h"
 #include "common/string_util.h"
@@ -44,7 +44,6 @@ int main() {
   rec_options.peers.delta = 0.55;
   rec_options.top_k = 10;
   const Recommender recommender(&scenario.ratings, &peers, rec_options);
-  const GroupRecommender group_rec(&recommender, {});
 
   const FairnessHeuristic algorithm1;
   const GreedyValueSelector greedy;
@@ -63,8 +62,10 @@ int main() {
           const Group group = cohesive
                                   ? scenario.MakeCohesiveGroup(g, 100 + g + m)
                                   : scenario.MakeRandomGroup(g, 200 + g + m);
+          const auto members =
+              std::move(recommender.RelevanceForGroup(group)).ValueOrDie();
           const GroupContext full =
-              std::move(group_rec.BuildContext(group)).ValueOrDie();
+              std::move(GroupContext::Build(members)).ValueOrDie();
           const GroupContext pool = full.RestrictToTopM(m);
           const Selection a = std::move(algorithm1.Select(pool, z)).ValueOrDie();
           const Selection b = std::move(greedy.Select(pool, z)).ValueOrDie();

@@ -4,12 +4,12 @@
 // peer-index / mapreduce benches).
 //
 // For each (group shape, |G|, m, z) configuration the run builds the group's
-// candidate context once (sparse peer graph -> GroupRecommender ->
-// RestrictToTopM), then times each registered selector over --reps
-// repetitions. Group shapes come from data/scenario.h: cohesive and random
-// (the original sweep) plus the fairness stress shapes — skewed (one
-// minority member), coldstart (half the group are the corpus's thinnest
-// raters), and adversarial (an even two-cluster taste split).
+// candidate context once (sparse peer graph -> Recommender::RelevanceForGroup
+// -> GroupContext::Build -> RestrictToTopM), then times each registered
+// selector over --reps repetitions. Group shapes come from data/scenario.h:
+// cohesive and random (the original sweep) plus the fairness stress shapes —
+// skewed (one minority member), coldstart (half the group are the corpus's
+// thinnest raters), and adversarial (an even two-cluster taste split).
 //
 // Quality is value(G, D) relative to the brute-force optimum, plus the
 // per-member fairness metrics of eval/fairness_metrics.h (min/max
@@ -43,9 +43,10 @@
 #include <utility>
 #include <vector>
 
+#include "cf/recommender.h"
 #include "common/stopwatch.h"
 #include "core/brute_force.h"
-#include "core/group_recommender.h"
+#include "core/group_context.h"
 #include "core/selector_registry.h"
 #include "data/scenario.h"
 #include "eval/fairness_metrics.h"
@@ -159,8 +160,7 @@ int Run(const BenchConfig& config) {
   GroupContextOptions context_options;
   context_options.top_k = rec_options.top_k;
   context_options.require_all_members = false;
-  const GroupRecommender group_rec(&scenario.ratings, &peers, rec_options,
-                                   context_options);
+  const Recommender recommender(&scenario.ratings, &peers, rec_options);
 
   // The zoo under test: every registered selector except the exhaustive
   // enumerator, which runs separately as ground truth.
@@ -189,8 +189,11 @@ int Run(const BenchConfig& config) {
                                  std::pair<int32_t, int32_t>{20, 6}}) {
         const Group group = scenario.MakeGroup(
             shape, g, 100 * (shape_index + 1) + static_cast<uint64_t>(g + m));
+        const auto members =
+            std::move(recommender.RelevanceForGroup(group)).ValueOrDie();
         const GroupContext full =
-            std::move(group_rec.BuildContext(group)).ValueOrDie();
+            std::move(GroupContext::Build(members, context_options))
+                .ValueOrDie();
         const GroupContext pool = full.RestrictToTopM(m);
 
         ConfigResult r;

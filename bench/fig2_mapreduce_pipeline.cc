@@ -10,31 +10,38 @@
 
 #include "cf/recommender.h"
 #include "common/stopwatch.h"
-#include "core/group_recommender.h"
+#include "core/group_context.h"
 #include "data/scenario.h"
 #include "common/string_util.h"
 #include "eval/table.h"
 #include "mapreduce/pipeline.h"
+#include "sim/peer_adapter.h"
 #include "sim/rating_similarity.h"
 
 using namespace fairrec;
 
 namespace {
 
+/// The serial reference: Eq. 2 evaluated once per pair (no moment shuffle),
+/// then the in-memory Eq. 1 -> Def. 2 -> Algorithm 1 chain.
 Selection SerialSelection(const Scenario& scenario, const Group& group,
                           const PipelineOptions& options, int32_t z) {
-  RatingSimilarityOptions rs_options = options.similarity;
-  const RatingSimilarity similarity(&scenario.ratings, rs_options);
+  const RatingSimilarity similarity(&scenario.ratings, options.similarity);
+  PeerIndexOptions peer_options;
+  peer_options.delta = options.delta;
+  const DensePeerAdapter peers(similarity, scenario.ratings.num_users(),
+                               peer_options);
   RecommenderOptions rec_options;
   rec_options.peers.delta = options.delta;
   rec_options.top_k = options.top_k;
-  const Recommender recommender =
-      Recommender::ForSimilarityScan(&scenario.ratings, &similarity, rec_options);
+  const Recommender recommender(&scenario.ratings, &peers, rec_options);
   GroupContextOptions ctx_options;
   ctx_options.top_k = options.top_k;
   ctx_options.aggregation = options.aggregation;
-  const GroupRecommender group_rec(&recommender, ctx_options);
-  const GroupContext ctx = std::move(group_rec.BuildContext(group)).ValueOrDie();
+  const auto members =
+      std::move(recommender.RelevanceForGroup(group)).ValueOrDie();
+  const GroupContext ctx =
+      std::move(GroupContext::Build(members, ctx_options)).ValueOrDie();
   const FairnessHeuristic heuristic;
   return std::move(heuristic.Select(ctx, z)).ValueOrDie();
 }

@@ -13,7 +13,7 @@
 #include "cf/recommender.h"
 #include "core/brute_force.h"
 #include "core/fairness_heuristic.h"
-#include "core/group_recommender.h"
+#include "core/group_context.h"
 #include "data/scenario.h"
 #include "common/string_util.h"
 #include "eval/table.h"
@@ -45,7 +45,6 @@ int main() {
   rec_options.peers.delta = 0.55;
   rec_options.top_k = 10;
   const Recommender recommender(&scenario.ratings, &peers, rec_options);
-  const GroupRecommender group_rec(&recommender, {});
 
   const FairnessHeuristic heuristic;
   const BruteForceSelector brute_force;
@@ -60,8 +59,10 @@ int main() {
   bool prop1_holds = true;
   for (const int32_t g : group_sizes) {
     const Group group = scenario.MakeRandomGroup(g, 1000 + g);
+    const auto members =
+        std::move(recommender.RelevanceForGroup(group)).ValueOrDie();
     const GroupContext full =
-        std::move(group_rec.BuildContext(group)).ValueOrDie();
+        std::move(GroupContext::Build(members)).ValueOrDie();
     const GroupContext pool = full.RestrictToTopM(m);
     for (const int32_t z : z_values) {
       if (z > m) continue;

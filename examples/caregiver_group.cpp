@@ -16,7 +16,7 @@
 #include "core/brute_force.h"
 #include "core/fairness_heuristic.h"
 #include "core/greedy_selector.h"
-#include "core/group_recommender.h"
+#include "core/group_context.h"
 #include "data/scenario.h"
 #include "eval/metrics.h"
 #include "common/string_util.h"
@@ -41,6 +41,18 @@ void ReportSelection(const char* name, const GroupContext& context,
   const SatisfactionStats sat = GroupSatisfactionByItems(context, selection.items);
   std::printf("    member satisfaction: min %.2f  mean %.2f  max %.2f\n",
               sat.min, sat.mean, sat.max);
+}
+
+/// Plain group top-k (Def. 2, no fairness): the first k candidates by group
+/// relevance (ties: ascending item id).
+std::vector<ScoredItem> TopKForGroup(const GroupContext& context, size_t k) {
+  std::vector<ScoredItem> top;
+  for (const int32_t c : context.CandidatesByGroupRelevance()) {
+    if (top.size() == k) break;
+    const GroupCandidate candidate = context.candidate(c);
+    top.push_back({candidate.item, candidate.group_relevance});
+  }
+  return top;
 }
 
 }  // namespace
@@ -80,15 +92,22 @@ int main() {
   }
 
   // ---- Def. 2: min vs average aggregation, plain top-k ---------------
-  AsciiTable table({"rank", "avg: document", "avg rel", "min: document", "min rel"});
+  // Eq. 1 relevance per member, then one Def. 2 context per design.
+  const auto members =
+      std::move(recommender.RelevanceForGroup(group)).ValueOrDie();
   GroupContextOptions avg_options;
   avg_options.top_k = 8;
   GroupContextOptions min_options = avg_options;
   min_options.aggregation = AggregationKind::kMinimum;
-  const GroupRecommender avg_rec(&recommender, avg_options);
-  const GroupRecommender min_rec(&recommender, min_options);
-  const auto avg_top = std::move(avg_rec.TopKForGroup(group, 5)).ValueOrDie();
-  const auto min_top = std::move(min_rec.TopKForGroup(group, 5)).ValueOrDie();
+  const GroupContext context =
+      std::move(GroupContext::Build(members, avg_options)).ValueOrDie();
+  const GroupContext min_context =
+      std::move(GroupContext::Build(members, min_options)).ValueOrDie();
+
+  AsciiTable table(
+      {"rank", "avg: document", "avg rel", "min: document", "min rel"});
+  const auto avg_top = TopKForGroup(context, 5);
+  const auto min_top = TopKForGroup(min_context, 5);
   for (size_t i = 0; i < 5 && i < avg_top.size() && i < min_top.size(); ++i) {
     table.AddRow(
         {std::to_string(i + 1),
@@ -101,7 +120,6 @@ int main() {
               table.ToString().c_str());
 
   // ---- §III-D: fairness-aware top-z selectors ------------------------
-  const GroupContext context = std::move(avg_rec.BuildContext(group)).ValueOrDie();
   const GroupContext pool = context.RestrictToTopM(20);
   const int32_t z = 6;
 
@@ -117,8 +135,7 @@ int main() {
 
   // ---- The unfairness of plain top-k, quantified ----------------------
   std::vector<ItemId> plain_items;
-  for (const ScoredItem& s :
-       std::move(avg_rec.TopKForGroup(group, z)).ValueOrDie()) {
+  for (const ScoredItem& s : TopKForGroup(context, z)) {
     plain_items.push_back(s.item);
   }
   const ValueBreakdown plain_score = EvaluateSelectionByItems(context, plain_items);

@@ -10,11 +10,12 @@
 
 #include "cf/recommender.h"
 #include "common/stopwatch.h"
-#include "core/group_recommender.h"
+#include "core/group_context.h"
 #include "data/scenario.h"
 #include "eval/table.h"
 #include "mapreduce/pipeline.h"
 #include "mapreduce/topk_mapreduce.h"
+#include "sim/peer_adapter.h"
 #include "sim/rating_similarity.h"
 
 using namespace fairrec;  // examples only
@@ -75,20 +76,25 @@ int main() {
               result.selection.score.value);
 
   // ---- Cross-check against the serial reference ----------------------
+  // Peers straight from Eq. 2, evaluated once per pair (no moment shuffle).
   RatingSimilarityOptions rs_options;
   rs_options.shift_to_unit_interval = true;
   const RatingSimilarity similarity(&scenario.ratings, rs_options);
+  PeerIndexOptions peer_options;
+  peer_options.delta = options.delta;
+  const DensePeerAdapter peers(similarity, scenario.ratings.num_users(),
+                               peer_options);
   RecommenderOptions rec_options;
   rec_options.peers.delta = options.delta;
   rec_options.top_k = options.top_k;
-  const Recommender recommender =
-      Recommender::ForSimilarityScan(&scenario.ratings, &similarity, rec_options);
+  const Recommender recommender(&scenario.ratings, &peers, rec_options);
   GroupContextOptions ctx_options;
   ctx_options.top_k = options.top_k;
-  const GroupRecommender group_rec(&recommender, ctx_options);
   const FairnessHeuristic heuristic;
+  const auto members =
+      std::move(recommender.RelevanceForGroup(group)).ValueOrDie();
   const GroupContext serial_ctx =
-      std::move(group_rec.BuildContext(group)).ValueOrDie();
+      std::move(GroupContext::Build(members, ctx_options)).ValueOrDie();
   const Selection serial = std::move(heuristic.Select(serial_ctx, 6)).ValueOrDie();
   std::printf("\nserial reference selected the %s set of documents.\n",
               serial.items == result.selection.items ? "SAME" : "DIFFERENT");

@@ -21,6 +21,7 @@
 #include "eval/table.h"
 #include "mf/matrix_factorization.h"
 #include "ratings/splits.h"
+#include "sim/peer_adapter.h"
 #include "sim/rating_similarity.h"
 
 using namespace fairrec;  // examples only
@@ -54,9 +55,13 @@ int main() {
   RatingSimilarityOptions sim_options;
   sim_options.shift_to_unit_interval = true;
   const RatingSimilarity similarity(&split.train, sim_options);
-  PeerFinderOptions peer_options;
+  PeerIndexOptions peer_options;
   peer_options.delta = 0.55;
-  const PeerFinder finder(&similarity, split.train.num_users(), peer_options);
+  const DensePeerAdapter peer_graph(similarity, split.train.num_users(),
+                                    peer_options);
+  PeerFinderOptions finder_options;
+  finder_options.delta = peer_options.delta;
+  const PeerFinder finder(&peer_graph, finder_options);
   const RelevanceEstimator cf_estimator(&split.train);
   std::unordered_map<UserId, std::vector<Peer>> peers;
 

@@ -11,9 +11,11 @@
 
 #include "cf/recommender.h"
 #include "core/fairness_heuristic.h"
-#include "core/group_recommender.h"
+#include "core/group_context.h"
 #include "data/scenario.h"
 #include "ratings/dataset.h"
+#include "sim/pairwise_engine.h"
+#include "sim/peer_index.h"
 #include "sim/rating_similarity.h"
 
 using namespace fairrec;  // examples only; library code never does this
@@ -34,16 +36,20 @@ int main() {
 
   // --- 2. Single-user recommendations --------------------------------
   // simU = Pearson over co-rated documents (Eq. 2), shifted to [0, 1] so the
-  // peer threshold delta and Eq. 1's weights are non-negative.
+  // peer threshold delta and Eq. 1's weights are non-negative. The engine
+  // builds the Def. 1 peer graph (all pairs with simU >= delta) once.
   RatingSimilarityOptions sim_options;
   sim_options.shift_to_unit_interval = true;
-  const RatingSimilarity similarity(&scenario.ratings, sim_options);
+  PeerIndexOptions peer_options;
+  peer_options.delta = 0.55;  // Def. 1 threshold
+  const PairwiseSimilarityEngine engine(&scenario.ratings, sim_options);
+  const PeerIndex peers =
+      std::move(engine.BuildPeerIndex(peer_options)).ValueOrDie();
 
   RecommenderOptions rec_options;
-  rec_options.peers.delta = 0.55;  // Def. 1 threshold
-  rec_options.top_k = 5;           // |A_u|
-  const Recommender recommender =
-      Recommender::ForSimilarityScan(&scenario.ratings, &similarity, rec_options);
+  rec_options.peers.delta = peer_options.delta;
+  rec_options.top_k = 5;  // |A_u|
+  const Recommender recommender(&scenario.ratings, &peers, rec_options);
 
   const UserId patient = 3;
   const auto personal = std::move(recommender.RecommendForUser(patient)).ValueOrDie();
@@ -62,11 +68,16 @@ int main() {
   for (const UserId u : group) std::printf(" %d", u);
   std::printf("\n");
 
-  const GroupRecommender group_recommender(&recommender, {});
+  // Eq. 1 per member over the items no member rated, aggregated into group
+  // relevance (Def. 2), then Algorithm 1 picks a fair top-z.
+  const auto members =
+      std::move(recommender.RelevanceForGroup(group)).ValueOrDie();
+  const GroupContext context =
+      std::move(GroupContext::Build(members)).ValueOrDie();
   const FairnessHeuristic algorithm1;  // the paper's Algorithm 1
   const int32_t z = 6;
   const Selection selection =
-      std::move(group_recommender.RecommendFair(group, z, algorithm1)).ValueOrDie();
+      std::move(algorithm1.Select(context, z)).ValueOrDie();
 
   std::printf("fairness-aware top-%d (fairness %.2f, value %.2f):\n", z,
               selection.score.fairness, selection.score.value);

@@ -19,6 +19,7 @@
 #include "eval/table.h"
 #include "ontology/snomed_generator.h"
 #include "sim/hybrid_similarity.h"
+#include "sim/peer_adapter.h"
 #include "sim/profile_similarity.h"
 #include "sim/rating_similarity.h"
 #include "sim/semantic_similarity.h"
@@ -126,12 +127,18 @@ int main() {
                                       {&cohort_semantic, 0.15},
                                       {hybrid.get(), 0.35}};
 
-  // Peer sets of 20 probe users under each measure.
+  // Peer sets of 20 probe users under each measure. None but the ratings
+  // measure has a sufficient-statistics decomposition, so each gets its peer
+  // graph from one O(U^2) pass of the adapter.
   std::vector<std::vector<std::vector<Peer>>> peers(measures.size());
   for (size_t s = 0; s < measures.size(); ++s) {
+    PeerIndexOptions graph_options;
+    graph_options.delta = measures[s].delta;
+    const DensePeerAdapter graph(*measures[s].sim, scenario.ratings.num_users(),
+                                 graph_options);
     PeerFinderOptions options;
     options.delta = measures[s].delta;
-    const PeerFinder finder(measures[s].sim, scenario.ratings.num_users(), options);
+    const PeerFinder finder(&graph, options);
     for (UserId u = 0; u < 20; ++u) peers[s].push_back(finder.FindPeers(u));
   }
 

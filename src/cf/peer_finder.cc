@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -36,65 +37,32 @@ ExclusionScratch& StampExclusions(int32_t num_users, const Group& exclude) {
 
 }  // namespace
 
-PeerFinder::PeerFinder(const UserSimilarity* similarity, int32_t num_users,
-                       PeerFinderOptions options)
-    : similarity_(similarity), num_users_(num_users), options_(options) {
-  FAIRREC_CHECK(similarity != nullptr);
-}
-
 PeerFinder::PeerFinder(const PeerProvider* provider, PeerFinderOptions options)
-    : provider_(provider),
-      num_users_(provider != nullptr ? provider->num_users() : 0),
-      options_(options) {
+    : provider_(provider), options_(options) {
   FAIRREC_CHECK(provider != nullptr);
 }
 
 std::vector<Peer> PeerFinder::FindPeers(UserId u, const Group& exclude) const {
-  const ExclusionScratch& scratch = StampExclusions(num_users_, exclude);
-
-  if (provider_ != nullptr) {
-    // Sparse mode: the stored list is already thresholded at the provider's
-    // build delta and sorted by BetterPeer, so entries with sim >= delta form
-    // a prefix and the first max_peers survivors after exclusion are exactly
-    // the dense path's top-k.
-    const std::span<const Peer> stored = provider_->PeersOf(u);
-    const size_t cap = options_.max_peers > 0
-                           ? static_cast<size_t>(options_.max_peers)
-                           : stored.size();
-    std::vector<Peer> peers;
-    peers.reserve(std::min(cap, stored.size()));
-    for (const Peer& p : stored) {
-      if (p.similarity < options_.delta) break;
-      if (p.user == u ||
-          scratch.stamp[static_cast<size_t>(p.user)] == scratch.epoch) {
-        continue;
-      }
-      peers.push_back(p);
-      if (peers.size() == cap) break;
-    }
-    return peers;
-  }
-
+  const ExclusionScratch& scratch =
+      StampExclusions(provider_->num_users(), exclude);
+  // The stored list is already thresholded at the provider's build delta and
+  // sorted by BetterPeer, so entries with sim >= delta form a prefix and the
+  // first max_peers survivors after exclusion are exactly Def. 1's top-k.
+  const std::span<const Peer> stored = provider_->PeersOf(u);
+  const size_t cap = options_.max_peers > 0
+                         ? static_cast<size_t>(options_.max_peers)
+                         : stored.size();
   std::vector<Peer> peers;
-  for (UserId v = 0; v < num_users_; ++v) {
-    if (v == u || scratch.stamp[static_cast<size_t>(v)] == scratch.epoch) {
+  peers.reserve(std::min(cap, stored.size()));
+  for (const Peer& p : stored) {
+    if (p.similarity < options_.delta) break;
+    if (p.user == u ||
+        scratch.stamp[static_cast<size_t>(p.user)] == scratch.epoch) {
       continue;
     }
-    const double sim = similarity_->Compute(u, v);
-    if (sim >= options_.delta) peers.push_back({v, sim});
+    peers.push_back(p);
+    if (peers.size() == cap) break;
   }
-
-  const size_t cap = static_cast<size_t>(options_.max_peers);
-  if (options_.max_peers > 0 && peers.size() > cap) {
-    // Selecting the top cap then sorting only that prefix is
-    // O(n + cap log cap) vs O(n log n) for a full sort. The comparator is a
-    // total order (ties broken by id), so the result is identical to
-    // sort-then-truncate.
-    std::nth_element(peers.begin(), peers.begin() + static_cast<ptrdiff_t>(cap),
-                     peers.end(), BetterPeer);
-    peers.resize(cap);
-  }
-  std::sort(peers.begin(), peers.end(), BetterPeer);
   return peers;
 }
 

@@ -5,7 +5,6 @@
 
 #include "ratings/types.h"
 #include "sim/peer_provider.h"
-#include "sim/user_similarity.h"
 
 namespace fairrec {
 
@@ -21,23 +20,16 @@ struct PeerFinderOptions {
 
 /// Implements Definition 1: P_u = { u' != u : simU(u, u') >= delta }.
 ///
-/// Two modes share one query surface:
-///
-///   * sparse — constructed over a PeerProvider (an engine-built PeerIndex
-///     or a DensePeerAdapter): FindPeers is a thin filter over the stored
-///     PeersOf(u) list (exclusion + max_peers), O(|peers| + |exclude|);
-///   * scan — constructed over a raw UserSimilarity: the original O(U)
-///     similarity scan per call, kept for ad-hoc measures nobody indexed.
+/// Reads a prebuilt peer graph (a PeerProvider: an engine-built PeerIndex,
+/// or a DensePeerAdapter for a measure with no sufficient-statistics
+/// decomposition). FindPeers is a thin filter over the stored PeersOf(u)
+/// list — delta, exclusion, max_peers — in O(|peers| + |exclude|).
 class PeerFinder {
  public:
-  /// Scan mode. `similarity` must outlive this object.
-  PeerFinder(const UserSimilarity* similarity, int32_t num_users,
-             PeerFinderOptions options = {});
-
-  /// Sparse mode. `provider` must outlive this object. options.delta may be
-  /// *stricter* than the provider's build threshold (stored entries below it
-  /// are dropped at query time); it cannot be looser, since pairs discarded
-  /// at build time cannot reappear. Likewise max_peers is applied after
+  /// `provider` must outlive this object. options.delta may be *stricter*
+  /// than the provider's build threshold (stored entries below it are
+  /// dropped at query time); it cannot be looser, since pairs discarded at
+  /// build time cannot reappear. Likewise max_peers is applied after
   /// exclusion, so providers serving group queries should be built with
   /// headroom (build cap >= max_peers + largest exclusion list) or
   /// unbounded for exact Def. 1 semantics.
@@ -51,12 +43,10 @@ class PeerFinder {
   std::vector<Peer> FindPeers(UserId u, const Group& exclude = {}) const;
 
   const PeerFinderOptions& options() const { return options_; }
-  int32_t num_users() const { return num_users_; }
+  int32_t num_users() const { return provider_->num_users(); }
 
  private:
-  const UserSimilarity* similarity_ = nullptr;  // scan mode
-  const PeerProvider* provider_ = nullptr;      // sparse mode
-  int32_t num_users_ = 0;
+  const PeerProvider* provider_;
   PeerFinderOptions options_;
 };
 

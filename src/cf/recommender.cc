@@ -9,22 +9,6 @@
 
 namespace fairrec {
 
-Recommender::Recommender(const RatingMatrix* matrix,
-                         const UserSimilarity* similarity,
-                         RecommenderOptions options)
-    : matrix_(matrix),
-      peer_finder_(similarity, matrix->num_users(), options.peers),
-      estimator_(matrix),
-      options_(options) {
-  FAIRREC_CHECK(matrix != nullptr);
-}
-
-Recommender Recommender::ForSimilarityScan(const RatingMatrix* matrix,
-                                           const UserSimilarity* similarity,
-                                           RecommenderOptions options) {
-  return Recommender(matrix, similarity, options);
-}
-
 Recommender::Recommender(const RatingMatrix* matrix, const PeerProvider* peers,
                          RecommenderOptions options)
     : matrix_(matrix),
@@ -38,13 +22,8 @@ Recommender::Recommender(const RatingMatrix* matrix, const PeerProvider* peers,
 }
 
 Result<std::vector<ScoredItem>> Recommender::RecommendForUser(UserId u) const {
-  if (!matrix_->IsValidUser(u)) {
-    return Status::InvalidArgument("unknown user id: " + std::to_string(u));
-  }
-  const std::vector<Peer> peers = peer_finder_.FindPeers(u);
-  const std::vector<ItemId> unrated = matrix_->ItemsUnratedBy(u);
-  const std::vector<ScoredItem> scored = estimator_.EstimateAll(peers, unrated);
-  return SelectTopK(scored, options_.top_k);
+  RelevanceEstimator::Scratch scratch;
+  return RecommendForUser(u, scratch);
 }
 
 Result<std::vector<ScoredItem>> Recommender::RecommendForUser(
@@ -62,31 +41,11 @@ Result<std::vector<ScoredItem>> Recommender::RecommendForUser(
 Result<std::vector<MemberRelevance>> Recommender::RelevanceForGroup(
     const Group& group) const {
   RelevanceEstimator::Scratch scratch;
-  return RelevanceForGroupWith(group, peer_finder_, scratch);
+  return RelevanceForGroup(group, scratch);
 }
 
 Result<std::vector<MemberRelevance>> Recommender::RelevanceForGroup(
     const Group& group, RelevanceEstimator::Scratch& scratch) const {
-  return RelevanceForGroupWith(group, peer_finder_, scratch);
-}
-
-Result<std::vector<MemberRelevance>> Recommender::RelevanceForGroup(
-    const Group& group, const PeerProvider& peers) const {
-  RelevanceEstimator::Scratch scratch;
-  return RelevanceForGroup(group, peers, scratch);
-}
-
-Result<std::vector<MemberRelevance>> Recommender::RelevanceForGroup(
-    const Group& group, const PeerProvider& peers,
-    RelevanceEstimator::Scratch& scratch) const {
-  FAIRREC_CHECK(peers.num_users() == matrix_->num_users());
-  return RelevanceForGroupWith(group, PeerFinder(&peers, options_.peers),
-                               scratch);
-}
-
-Result<std::vector<MemberRelevance>> Recommender::RelevanceForGroupWith(
-    const Group& group, const PeerFinder& finder,
-    RelevanceEstimator::Scratch& scratch) const {
   if (group.empty()) {
     return Status::InvalidArgument("group must not be empty");
   }
@@ -114,7 +73,7 @@ Result<std::vector<MemberRelevance>> Recommender::RelevanceForGroupWith(
     MemberRelevance member;
     member.user = u;
     // Job-1 semantics: potential peers are users outside the group.
-    member.peers = finder.FindPeers(u, group);
+    member.peers = peer_finder_.FindPeers(u, group);
     member.relevance = estimator_.EstimateAll(member.peers, candidates, scratch);
     out.push_back(std::move(member));
   }

@@ -27,12 +27,6 @@ std::optional<double> RelevanceEstimator::Estimate(const std::vector<Peer>& peer
 }
 
 std::vector<ScoredItem> RelevanceEstimator::EstimateAll(
-    const std::vector<Peer>& peers, const std::vector<ItemId>& items) const {
-  thread_local Scratch scratch;
-  return EstimateAll(peers, items, scratch);
-}
-
-std::vector<ScoredItem> RelevanceEstimator::EstimateAll(
     const std::vector<Peer>& peers, const std::vector<ItemId>& items,
     Scratch& scratch) const {
   // For more than a handful of items it is cheaper to scan each peer's row

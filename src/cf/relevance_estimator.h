@@ -45,12 +45,8 @@ class RelevanceEstimator {
   };
 
   /// Relevance for each of `items`; undefined items are skipped. The output
-  /// preserves the order of `items`. Uses a thread-local Scratch, so repeated
-  /// group queries do not churn the allocator.
-  std::vector<ScoredItem> EstimateAll(const std::vector<Peer>& peers,
-                                      const std::vector<ItemId>& items) const;
-
-  /// Same, accumulating through a caller-owned Scratch.
+  /// preserves the order of `items`. Accumulates through a caller-owned
+  /// Scratch, so one per worker (or per group query) serves every call.
   std::vector<ScoredItem> EstimateAll(const std::vector<Peer>& peers,
                                       const std::vector<ItemId>& items,
                                       Scratch& scratch) const;

@@ -1,7 +1,9 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 
 namespace fairrec {
 
@@ -49,6 +51,44 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
 bool EndsWith(std::string_view text, std::string_view suffix) {
   return text.size() >= suffix.size() &&
          text.substr(text.size() - suffix.size()) == suffix;
+}
+
+namespace {
+
+/// Runs a strtoX-style parser over a NUL-terminated copy of `token` and
+/// accepts only a full, in-range parse.
+template <typename T, typename Parse>
+Result<T> ParseWhole(std::string_view token, const char* what, Parse parse) {
+  const std::string text(token);
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return Status::InvalidArgument("'" + text + "' is not " + what);
+  }
+  errno = 0;
+  char* end = nullptr;
+  const T value = parse(text.c_str(), &end);
+  if (end != text.c_str() + text.size()) {
+    return Status::InvalidArgument("'" + text + "' is not " + what);
+  }
+  if (errno == ERANGE) {
+    return Status::InvalidArgument("'" + text + "' is out of range for " +
+                                   what);
+  }
+  return value;
+}
+
+}  // namespace
+
+Result<int64_t> ParseInt64(std::string_view token) {
+  return ParseWhole<int64_t>(token, "an integer",
+                             [](const char* s, char** end) -> int64_t {
+                               return std::strtoll(s, end, 10);
+                             });
+}
+
+Result<double> ParseDouble(std::string_view token) {
+  return ParseWhole<double>(token, "a number", [](const char* s, char** end) {
+    return std::strtod(s, end);
+  });
 }
 
 std::string FormatDouble(double value, int precision) {

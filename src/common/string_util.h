@@ -1,9 +1,13 @@
 #ifndef FAIRREC_COMMON_STRING_UTIL_H_
 #define FAIRREC_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
+
+#include "common/result.h"
 
 namespace fairrec {
 
@@ -22,6 +26,25 @@ std::string ToLower(std::string_view input);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
+
+/// Strict decimal parsers: the whole token must be a number (no leading
+/// whitespace, no trailing characters) that fits the type; anything else,
+/// including "", is InvalidArgument. Callers trim first if they accept
+/// padding.
+Result<int64_t> ParseInt64(std::string_view token);
+Result<double> ParseDouble(std::string_view token);
+
+/// ParseInt64 narrowed to the integer type T (an id, a count, a seed):
+/// InvalidArgument when the value does not fit.
+template <typename T>
+Result<T> ParseInt(std::string_view token) {
+  FAIRREC_ASSIGN_OR_RETURN(const int64_t value, ParseInt64(token));
+  if (!std::in_range<T>(value)) {
+    return Status::InvalidArgument("'" + std::string(token) +
+                                   "' is out of range");
+  }
+  return static_cast<T>(value);
+}
 
 /// Fixed-precision decimal formatting without locale surprises.
 std::string FormatDouble(double value, int precision);

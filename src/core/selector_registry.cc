@@ -1,7 +1,5 @@
 #include "core/selector_registry.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <utility>
 
 #include "common/logging.h"
@@ -46,14 +44,12 @@ Result<int64_t> SelectorOptionBag::GetInt(const std::string& key,
   const auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   consumed_[key] = true;
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') {
+  const Result<int64_t> parsed = ParseInt64(it->second);
+  if (!parsed.ok()) {
     return Status::InvalidArgument("selector option " + key + "='" +
                                    it->second + "' is not an integer");
   }
-  return static_cast<int64_t>(parsed);
+  return parsed;
 }
 
 Result<double> SelectorOptionBag::GetDouble(const std::string& key,
@@ -61,10 +57,8 @@ Result<double> SelectorOptionBag::GetDouble(const std::string& key,
   const auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   consumed_[key] = true;
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(it->second.c_str(), &end);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') {
+  const Result<double> parsed = ParseDouble(it->second);
+  if (!parsed.ok()) {
     return Status::InvalidArgument("selector option " + key + "='" +
                                    it->second + "' is not a number");
   }

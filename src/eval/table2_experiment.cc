@@ -3,11 +3,12 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "cf/recommender.h"
 #include "common/string_util.h"
 #include "core/brute_force.h"
-#include "core/group_recommender.h"
+#include "core/group_context.h"
 #include "core/selector_registry.h"
 #include "eval/fairness_metrics.h"
 #include "eval/table.h"
@@ -48,9 +49,10 @@ Result<Table2Result> RunTable2Experiment(const Table2Config& config) {
   GroupContextOptions context_options;
   context_options.aggregation = AggregationKind::kAverage;
   context_options.top_k = config.top_k;
-  const GroupRecommender group_recommender(&recommender, context_options);
+  FAIRREC_ASSIGN_OR_RETURN(const std::vector<MemberRelevance> members,
+                           recommender.RelevanceForGroup(group));
   FAIRREC_ASSIGN_OR_RETURN(const GroupContext full_context,
-                           group_recommender.BuildContext(group));
+                           GroupContext::Build(members, context_options));
 
   Table2Result result;
   result.candidate_pool_size = full_context.num_candidates();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/csv.h"
 #include "common/string_util.h"
@@ -43,31 +42,6 @@ DatasetStats Dataset::ComputeStats() const {
   return stats;
 }
 
-namespace {
-
-bool ParseInt32(const std::string& text, int32_t* out) {
-  const std::string trimmed(Trim(text));
-  if (trimmed.empty()) return false;
-  char* end = nullptr;
-  const long value = std::strtol(trimmed.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  if (value < INT32_MIN || value > INT32_MAX) return false;
-  *out = static_cast<int32_t>(value);
-  return true;
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  const std::string trimmed(Trim(text));
-  if (trimmed.empty()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(trimmed.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
-}  // namespace
-
 Result<Dataset> LoadDatasetCsv(const std::string& path) {
   FAIRREC_ASSIGN_OR_RETURN(std::vector<CsvRow> rows, ReadCsvFile(path));
   Dataset dataset;
@@ -78,12 +52,10 @@ Result<Dataset> LoadDatasetCsv(const std::string& path) {
       return Status::InvalidArgument("expected 3 columns, got " +
                                      std::to_string(row.size()));
     }
-    int32_t user = 0;
-    int32_t item = 0;
-    double value = 0.0;
-    const bool parsed = ParseInt32(row[0], &user) && ParseInt32(row[1], &item) &&
-                        ParseDouble(row[2], &value);
-    if (!parsed) {
+    const Result<int32_t> user = ParseInt<int32_t>(Trim(row[0]));
+    const Result<int32_t> item = ParseInt<int32_t>(Trim(row[1]));
+    const Result<double> value = ParseDouble(Trim(row[2]));
+    if (!user.ok() || !item.ok() || !value.ok()) {
       if (first) {
         first = false;  // header row
         continue;
@@ -91,7 +63,7 @@ Result<Dataset> LoadDatasetCsv(const std::string& path) {
       return Status::InvalidArgument("unparseable CSV row: " + Join(row, ","));
     }
     first = false;
-    FAIRREC_RETURN_NOT_OK(builder.Add(user, item, value));
+    FAIRREC_RETURN_NOT_OK(builder.Add(*user, *item, *value));
   }
   FAIRREC_ASSIGN_OR_RETURN(dataset.matrix, builder.Build());
   return dataset;

@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "cf/recommender.h"
-#include "core/group_recommender.h"
 #include "ratings/rating_matrix.h"
 #include "sim/peer_provider.h"
 
@@ -39,13 +38,6 @@ struct ServingSnapshot {
   /// alive for as long as the recommender.
   Recommender MakeRecommender(RecommenderOptions options = {}) const {
     return Recommender(matrix.get(), peers.get(), options);
-  }
-
-  /// A group-recommendation facade bound to this generation. Same lifetime
-  /// rule: the snapshot must outlive the returned object.
-  GroupRecommender MakeGroupRecommender(RecommenderOptions rec_options = {},
-                                        GroupContextOptions options = {}) const {
-    return GroupRecommender(matrix.get(), peers.get(), rec_options, options);
   }
 };
 

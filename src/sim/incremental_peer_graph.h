@@ -161,9 +161,9 @@ struct DeltaApplyStats {
 ///      entry-level edit. PeerIndex::PatchBuilder splices the new rows into
 ///      a fresh CSR without re-finishing untouched users;
 ///   6. the served index is swapped: index() hands out a
-///      shared_ptr<const PeerIndex>, so in-flight readers (Recommender /
-///      GroupRecommender hold PeerProvider pointers) keep the snapshot they
-///      started with and new queries see the refreshed graph.
+///      shared_ptr<const PeerIndex>, so in-flight readers (a Recommender
+///      holds a PeerProvider pointer) keep the snapshot they started with
+///      and new queries see the refreshed graph.
 ///
 /// Parity contract: after any sequence of ApplyDelta calls, index() is
 /// byte-identical to PairwiseSimilarityEngine::BuildPeerIndex run from

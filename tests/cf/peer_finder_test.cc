@@ -6,6 +6,7 @@
 
 #include "sim/peer_adapter.h"
 #include "sim/peer_index.h"
+#include "tests/oracle/naive_peers.h"
 
 namespace fairrec {
 namespace {
@@ -32,12 +33,28 @@ TableSimilarity FourUsers() {
                           {0.1, 0.2, 0.6, 1.0}});
 }
 
+/// Def. 1 through the one query path — a PeerFinder over a DensePeerAdapter
+/// built at the query delta with no cap — checked against the naive O(U)
+/// oracle before it is returned.
+std::vector<Peer> FindPeers(const UserSimilarity& sim, int32_t num_users,
+                            PeerFinderOptions options, UserId u,
+                            const Group& exclude = {}) {
+  PeerIndexOptions build_options;
+  build_options.delta = options.delta;
+  const DensePeerAdapter provider(sim, num_users, build_options);
+  const PeerFinder finder(&provider, options);
+  std::vector<Peer> peers = finder.FindPeers(u, exclude);
+  EXPECT_EQ(peers, NaivePeers(sim, num_users, u, options, exclude))
+      << "u=" << u << " delta=" << options.delta
+      << " max_peers=" << options.max_peers;
+  return peers;
+}
+
 TEST(PeerFinderTest, ThresholdFiltersAndSorts) {
   const TableSimilarity sim = FourUsers();
   PeerFinderOptions options;
   options.delta = 0.5;
-  const PeerFinder finder(&sim, 4, options);
-  const std::vector<Peer> peers = finder.FindPeers(0);
+  const std::vector<Peer> peers = FindPeers(sim, 4, options, 0);
   // Def. 1: qualifying peers of user 0 are 1 (0.9) and 2 (0.5), in
   // descending similarity order.
   ASSERT_EQ(peers.size(), 2u);
@@ -49,8 +66,7 @@ TEST(PeerFinderTest, ThresholdIsInclusive) {
   const TableSimilarity sim = FourUsers();
   PeerFinderOptions options;
   options.delta = 0.9;
-  const PeerFinder finder(&sim, 4, options);
-  const std::vector<Peer> peers = finder.FindPeers(0);
+  const std::vector<Peer> peers = FindPeers(sim, 4, options, 0);
   ASSERT_EQ(peers.size(), 1u);
   EXPECT_EQ(peers[0].user, 1);
 }
@@ -59,16 +75,14 @@ TEST(PeerFinderTest, SelfIsNeverAPeer) {
   const TableSimilarity sim = FourUsers();
   PeerFinderOptions options;
   options.delta = 0.0;
-  const PeerFinder finder(&sim, 4, options);
-  for (const Peer& p : finder.FindPeers(2)) EXPECT_NE(p.user, 2);
+  for (const Peer& p : FindPeers(sim, 4, options, 2)) EXPECT_NE(p.user, 2);
 }
 
 TEST(PeerFinderTest, ExcludeListRespected) {
   const TableSimilarity sim = FourUsers();
   PeerFinderOptions options;
   options.delta = 0.0;
-  const PeerFinder finder(&sim, 4, options);
-  const std::vector<Peer> peers = finder.FindPeers(0, {1, 2});
+  const std::vector<Peer> peers = FindPeers(sim, 4, options, 0, {1, 2});
   ASSERT_EQ(peers.size(), 1u);
   EXPECT_EQ(peers[0].user, 3);
 }
@@ -78,8 +92,7 @@ TEST(PeerFinderTest, MaxPeersCapsAfterSorting) {
   PeerFinderOptions options;
   options.delta = 0.0;
   options.max_peers = 2;
-  const PeerFinder finder(&sim, 4, options);
-  const std::vector<Peer> peers = finder.FindPeers(0);
+  const std::vector<Peer> peers = FindPeers(sim, 4, options, 0);
   ASSERT_EQ(peers.size(), 2u);
   EXPECT_EQ(peers[0].user, 1);  // the two *most similar* survive
   EXPECT_EQ(peers[1].user, 2);
@@ -89,8 +102,7 @@ TEST(PeerFinderTest, TieBreaksByAscendingId) {
   const TableSimilarity sim({{1.0, 0.5, 0.5}, {0.5, 1.0, 0.5}, {0.5, 0.5, 1.0}});
   PeerFinderOptions options;
   options.delta = 0.5;
-  const PeerFinder finder(&sim, 3, options);
-  const std::vector<Peer> peers = finder.FindPeers(0);
+  const std::vector<Peer> peers = FindPeers(sim, 3, options, 0);
   ASSERT_EQ(peers.size(), 2u);
   EXPECT_EQ(peers[0].user, 1);
   EXPECT_EQ(peers[1].user, 2);
@@ -100,57 +112,54 @@ TEST(PeerFinderTest, NoQualifyingPeers) {
   const TableSimilarity sim = FourUsers();
   PeerFinderOptions options;
   options.delta = 0.95;
-  const PeerFinder finder(&sim, 4, options);
-  EXPECT_TRUE(finder.FindPeers(3).empty());
+  EXPECT_TRUE(FindPeers(sim, 4, options, 3).empty());
 }
 
 TEST(PeerFinderTest, OutOfRangeExcludeEntriesIgnored) {
   const TableSimilarity sim = FourUsers();
   PeerFinderOptions options;
   options.delta = 0.0;
-  const PeerFinder finder(&sim, 4, options);
-  EXPECT_EQ(finder.FindPeers(0, {-5, 99}).size(), 3u);
+  EXPECT_EQ(FindPeers(sim, 4, options, 0, {-5, 99}).size(), 3u);
 }
 
-// ---- Sparse mode: the thin filter over PeerProvider::PeersOf ------------
+// ---- The thin filter over a provider built below the query delta ---------
 
-/// Every scan-mode expectation must hold verbatim when the same similarity
-/// is served through a provider built at (or below) the query delta.
-void ExpectModesAgree(const UserSimilarity& sim, int32_t num_users,
-                      PeerFinderOptions options, const Group& exclude = {}) {
-  const PeerFinder scan(&sim, num_users, options);
-  // Build the provider at the loosest threshold so the query delta filters.
+/// Every oracle expectation must hold verbatim when the provider is built at
+/// the loosest threshold, so the query delta (not the build) filters.
+void ExpectMatchesOracle(const UserSimilarity& sim, int32_t num_users,
+                         PeerFinderOptions options, const Group& exclude = {}) {
   PeerIndexOptions build_options;
   build_options.delta = 0.0;
   const DensePeerAdapter provider(sim, num_users, build_options);
   const PeerFinder sparse(&provider, options);
   for (UserId u = 0; u < num_users; ++u) {
-    EXPECT_EQ(sparse.FindPeers(u, exclude), scan.FindPeers(u, exclude))
+    EXPECT_EQ(sparse.FindPeers(u, exclude),
+              NaivePeers(sim, num_users, u, options, exclude))
         << "u=" << u << " delta=" << options.delta
         << " max_peers=" << options.max_peers;
   }
 }
 
-TEST(PeerFinderSparseTest, AgreesWithScanModeAcrossOptions) {
+TEST(PeerFinderSparseTest, AgreesWithNaiveOracleAcrossOptions) {
   const TableSimilarity sim = FourUsers();
   for (const double delta : {0.0, 0.5, 0.9}) {
     for (const int32_t max_peers : {0, 1, 2}) {
       PeerFinderOptions options;
       options.delta = delta;
       options.max_peers = max_peers;
-      ExpectModesAgree(sim, 4, options);
+      ExpectMatchesOracle(sim, 4, options);
     }
   }
 }
 
 TEST(PeerFinderSparseTest, ExclusionRefillsFromDeeperEntries) {
   // With an unbounded provider, excluding the top peer must surface the next
-  // one, exactly like the scan path — max_peers applies after exclusion.
+  // one, exactly like the oracle — max_peers applies after exclusion.
   const TableSimilarity sim = FourUsers();
   PeerFinderOptions options;
   options.delta = 0.0;
   options.max_peers = 2;
-  ExpectModesAgree(sim, 4, options, /*exclude=*/{1});
+  ExpectMatchesOracle(sim, 4, options, /*exclude=*/{1});
 
   PeerIndexOptions build_options;
   build_options.delta = 0.0;

@@ -7,6 +7,7 @@
 
 #include "cf/top_k.h"
 #include "sim/pairwise_engine.h"
+#include "sim/peer_adapter.h"
 #include "sim/peer_index.h"
 #include "sim/rating_similarity.h"
 #include "sim/similarity_matrix.h"
@@ -45,20 +46,32 @@ RecommenderOptions DefaultOptions() {
   return options;
 }
 
+/// The clustered world served the production way: the engine-built Def. 1
+/// peer graph at the default delta under a Recommender.
+struct ClusteredWorld {
+  RatingMatrix matrix = ClusteredMatrix();
+  PeerIndex peers = BuildPeers(matrix);
+  Recommender rec{&matrix, &peers, DefaultOptions()};
+
+  static PeerIndex BuildPeers(const RatingMatrix& m) {
+    PeerIndexOptions options;
+    options.delta = DefaultOptions().peers.delta;
+    return std::move(PairwiseSimilarityEngine(&m, {}).BuildPeerIndex(options))
+        .ValueOrDie();
+  }
+};
+
 TEST(RecommenderTest, RejectsUnknownUser) {
-  const RatingMatrix m = ClusteredMatrix();
-  const RatingSimilarity sim(&m);
-  const Recommender rec =
-      Recommender::ForSimilarityScan(&m, &sim, DefaultOptions());
+  const ClusteredWorld world;
+  const Recommender& rec = world.rec;
   EXPECT_TRUE(rec.RecommendForUser(99).status().IsInvalidArgument());
   EXPECT_TRUE(rec.RecommendForUser(-1).status().IsInvalidArgument());
 }
 
 TEST(RecommenderTest, RecommendsOnlyUnratedItems) {
-  const RatingMatrix m = ClusteredMatrix();
-  const RatingSimilarity sim(&m);
-  const Recommender rec =
-      Recommender::ForSimilarityScan(&m, &sim, DefaultOptions());
+  const ClusteredWorld world;
+  const RatingMatrix& m = world.matrix;
+  const Recommender& rec = world.rec;
   const auto recs = rec.RecommendForUser(0);
   ASSERT_TRUE(recs.ok());
   for (const ScoredItem& s : *recs) {
@@ -67,10 +80,8 @@ TEST(RecommenderTest, RecommendsOnlyUnratedItems) {
 }
 
 TEST(RecommenderTest, ClusterTasteDrivesTopRecommendation) {
-  const RatingMatrix m = ClusteredMatrix();
-  const RatingSimilarity sim(&m);
-  const Recommender rec =
-      Recommender::ForSimilarityScan(&m, &sim, DefaultOptions());
+  const ClusteredWorld world;
+  const Recommender& rec = world.rec;
   // User 0's only unrated item is 0 (even => loved by the cluster).
   const auto recs = rec.RecommendForUser(0);
   ASSERT_TRUE(recs.ok());
@@ -80,32 +91,27 @@ TEST(RecommenderTest, ClusterTasteDrivesTopRecommendation) {
 }
 
 TEST(RecommenderTest, TopKIsBounded) {
-  const RatingMatrix m = ClusteredMatrix();
-  const RatingSimilarity sim(&m);
+  const ClusteredWorld world;
   RecommenderOptions options = DefaultOptions();
   options.top_k = 1;
-  const Recommender rec =
-      Recommender::ForSimilarityScan(&m, &sim, options);
+  const Recommender rec(&world.matrix, &world.peers, options);
   const auto recs = rec.RecommendForUser(1);
   ASSERT_TRUE(recs.ok());
   EXPECT_LE(recs->size(), 1u);
 }
 
 TEST(RecommenderGroupTest, RejectsBadGroups) {
-  const RatingMatrix m = ClusteredMatrix();
-  const RatingSimilarity sim(&m);
-  const Recommender rec =
-      Recommender::ForSimilarityScan(&m, &sim, DefaultOptions());
+  const ClusteredWorld world;
+  const Recommender& rec = world.rec;
   EXPECT_TRUE(rec.RelevanceForGroup({}).status().IsInvalidArgument());
   EXPECT_TRUE(rec.RelevanceForGroup({0, 0}).status().IsInvalidArgument());
   EXPECT_TRUE(rec.RelevanceForGroup({0, 42}).status().IsInvalidArgument());
 }
 
 TEST(RecommenderGroupTest, CandidatesAreUnratedByEveryMember) {
-  const RatingMatrix m = ClusteredMatrix();
-  const RatingSimilarity sim(&m);
-  const Recommender rec =
-      Recommender::ForSimilarityScan(&m, &sim, DefaultOptions());
+  const ClusteredWorld world;
+  const RatingMatrix& m = world.matrix;
+  const Recommender& rec = world.rec;
   const Group group{0, 1};
   const auto members = rec.RelevanceForGroup(group);
   ASSERT_TRUE(members.ok());
@@ -120,10 +126,8 @@ TEST(RecommenderGroupTest, CandidatesAreUnratedByEveryMember) {
 }
 
 TEST(RecommenderGroupTest, PeersExcludeGroupMembers) {
-  const RatingMatrix m = ClusteredMatrix();
-  const RatingSimilarity sim(&m);
-  const Recommender rec =
-      Recommender::ForSimilarityScan(&m, &sim, DefaultOptions());
+  const ClusteredWorld world;
+  const Recommender& rec = world.rec;
   const Group group{0, 1, 2};
   const auto members = rec.RelevanceForGroup(group);
   ASSERT_TRUE(members.ok());
@@ -137,10 +141,8 @@ TEST(RecommenderGroupTest, PeersExcludeGroupMembers) {
 }
 
 TEST(RecommenderGroupTest, MemberTopKIsPrefixOfRelevanceOrdering) {
-  const RatingMatrix m = ClusteredMatrix();
-  const RatingSimilarity sim(&m);
-  const Recommender rec =
-      Recommender::ForSimilarityScan(&m, &sim, DefaultOptions());
+  const ClusteredWorld world;
+  const Recommender& rec = world.rec;
   const auto members = rec.RelevanceForGroup({0, 3});
   ASSERT_TRUE(members.ok());
   for (const MemberRelevance& member : *members) {
@@ -153,70 +155,64 @@ TEST(RecommenderGroupTest, MemberTopKIsPrefixOfRelevanceOrdering) {
   }
 }
 
-TEST(RecommenderSparseTest, ProviderModeMatchesScanMode) {
-  // The engine-built peer graph and the O(U)-scan path must produce the same
-  // single-user lists and the same group relevance tables, exactly. The scan
-  // side reads the cached matrix (which delegates to the same engine), so
-  // every compared double is bit-identical by construction.
-  const RatingMatrix m = ClusteredMatrix();
+TEST(RecommenderSparseTest, EngineGraphMatchesAdapterGraph) {
+  // The engine-built peer graph and the DensePeerAdapter (one Compute per
+  // pair of an arbitrary measure) must produce the same single-user lists
+  // and the same group relevance tables, exactly. The adapter reads the
+  // cached matrix (which delegates to the same engine), so every compared
+  // double is bit-identical by construction.
+  const ClusteredWorld world;
+  const RatingMatrix& m = world.matrix;
   const RatingSimilarity base(&m);
   const auto sim =
       std::move(SimilarityMatrix::Precompute(base, m.num_users())).ValueOrDie();
-  const Recommender scan =
-      Recommender::ForSimilarityScan(&m, sim.get(), DefaultOptions());
-
   PeerIndexOptions peer_options;
   peer_options.delta = DefaultOptions().peers.delta;
-  const PairwiseSimilarityEngine engine(&m, {});
-  const PeerIndex index =
-      std::move(engine.BuildPeerIndex(peer_options)).ValueOrDie();
-  const Recommender sparse(&m, &index, DefaultOptions());
+  const DensePeerAdapter adapter(*sim, m.num_users(), peer_options);
+  const Recommender dense(&m, &adapter, DefaultOptions());
+  const Recommender& sparse = world.rec;
 
   for (UserId u = 0; u < m.num_users(); ++u) {
     EXPECT_EQ(std::move(sparse.RecommendForUser(u)).ValueOrDie(),
-              std::move(scan.RecommendForUser(u)).ValueOrDie())
+              std::move(dense.RecommendForUser(u)).ValueOrDie())
         << "u=" << u;
   }
 
   const Group group{0, 3};
-  const auto scan_members = std::move(scan.RelevanceForGroup(group)).ValueOrDie();
+  const auto dense_members =
+      std::move(dense.RelevanceForGroup(group)).ValueOrDie();
   const auto sparse_members =
       std::move(sparse.RelevanceForGroup(group)).ValueOrDie();
-  ASSERT_EQ(sparse_members.size(), scan_members.size());
-  for (size_t i = 0; i < scan_members.size(); ++i) {
-    EXPECT_EQ(sparse_members[i].user, scan_members[i].user);
-    EXPECT_EQ(sparse_members[i].peers, scan_members[i].peers);
-    EXPECT_EQ(sparse_members[i].relevance, scan_members[i].relevance);
+  ASSERT_EQ(sparse_members.size(), dense_members.size());
+  for (size_t i = 0; i < dense_members.size(); ++i) {
+    EXPECT_EQ(sparse_members[i].user, dense_members[i].user);
+    EXPECT_EQ(sparse_members[i].peers, dense_members[i].peers);
+    EXPECT_EQ(sparse_members[i].relevance, dense_members[i].relevance);
     const int32_t k = DefaultOptions().top_k;
     EXPECT_EQ(SelectTopK(sparse_members[i].relevance, k),
-              SelectTopK(scan_members[i].relevance, k));
+              SelectTopK(dense_members[i].relevance, k));
   }
 }
 
-TEST(RecommenderSparseTest, PerQueryProviderOverridesTheBuiltInFinder) {
+TEST(RecommenderSparseTest, HandBuiltIndexDrivesGroupPeers) {
+  // A per-query peer graph (the shape of MapReduce Job 2's per-group index)
+  // gets its own Recommender. One that only knows user 0 <-> user 5 leaves
+  // every other member's peer set empty.
   const RatingMatrix m = ClusteredMatrix();
-  const RatingSimilarity sim(&m);
-  const Recommender rec =
-      Recommender::ForSimilarityScan(&m, &sim, DefaultOptions());
-
-  // A provider that only knows user 0 <-> user 5 forces every other member's
-  // peer set empty, whatever the built-in finder would say.
   PeerIndex::Builder builder(m.num_users(), {});
   builder.OfferPair(0, 5, 0.9);
   const PeerIndex index = std::move(builder).Build();
+  const Recommender rec(&m, &index, DefaultOptions());
 
-  const auto members =
-      std::move(rec.RelevanceForGroup({0, 1}, index)).ValueOrDie();
+  const auto members = std::move(rec.RelevanceForGroup({0, 1})).ValueOrDie();
   ASSERT_EQ(members.size(), 2u);
   EXPECT_EQ(members[0].peers, (std::vector<Peer>{{5, 0.9}}));
   EXPECT_TRUE(members[1].peers.empty());
 }
 
 TEST(RecommenderGroupTest, RelevanceListsAscendingByItem) {
-  const RatingMatrix m = ClusteredMatrix();
-  const RatingSimilarity sim(&m);
-  const Recommender rec =
-      Recommender::ForSimilarityScan(&m, &sim, DefaultOptions());
+  const ClusteredWorld world;
+  const Recommender& rec = world.rec;
   const auto members = rec.RelevanceForGroup({0, 4});
   ASSERT_TRUE(members.ok());
   for (const MemberRelevance& member : *members) {

@@ -84,7 +84,9 @@ TEST(RelevanceEstimatorTest, EstimateAllMatchesPerItemEstimates) {
   std::vector<ItemId> items;
   for (ItemId i = 0; i < 15; ++i) items.push_back(i);
 
-  const std::vector<ScoredItem> batch = estimator.EstimateAll(peers, items);
+  RelevanceEstimator::Scratch scratch;
+  const std::vector<ScoredItem> batch =
+      estimator.EstimateAll(peers, items, scratch);
   size_t cursor = 0;
   for (const ItemId i : items) {
     const auto single = estimator.Estimate(peers, i);
@@ -101,8 +103,9 @@ TEST(RelevanceEstimatorTest, EstimateAllMatchesPerItemEstimates) {
 TEST(RelevanceEstimatorTest, EstimateAllEmptyInputs) {
   const RatingMatrix m = MatrixFromTriples({{0, 0, 3}});
   const RelevanceEstimator estimator(&m);
-  EXPECT_TRUE(estimator.EstimateAll({}, {0}).empty());
-  EXPECT_TRUE(estimator.EstimateAll({{0, 0.5}}, {}).empty());
+  RelevanceEstimator::Scratch scratch;
+  EXPECT_TRUE(estimator.EstimateAll({}, {0}, scratch).empty());
+  EXPECT_TRUE(estimator.EstimateAll({{0, 0.5}}, {}, scratch).empty());
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "common/string_util.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace fairrec {
@@ -59,6 +61,40 @@ TEST(FormatWithThousandsTest, GroupsDigits) {
   EXPECT_EQ(FormatWithThousands(1000), "1,000");
   EXPECT_EQ(FormatWithThousands(322371457), "322,371,457");
   EXPECT_EQ(FormatWithThousands(-1234567), "-1,234,567");
+}
+
+// Known answers for the strict parsers: the whole token must be a number
+// that fits the type.
+TEST(ParseInt64Test, KnownAnswers) {
+  EXPECT_EQ(*ParseInt64("12"), 12);
+  EXPECT_EQ(*ParseInt64("-3"), -3);
+  EXPECT_EQ(*ParseInt64("9223372036854775807"), INT64_MAX);
+  EXPECT_TRUE(ParseInt64("1e3").status().IsInvalidArgument());
+  EXPECT_TRUE(ParseInt64("").status().IsInvalidArgument());
+  EXPECT_TRUE(ParseInt64("abc").status().IsInvalidArgument());
+  EXPECT_TRUE(ParseInt64("12x").status().IsInvalidArgument());
+  EXPECT_TRUE(ParseInt64(" 12").status().IsInvalidArgument());
+  EXPECT_TRUE(ParseInt64("9223372036854775808").status().IsInvalidArgument());
+}
+
+TEST(ParseDoubleTest, KnownAnswers) {
+  EXPECT_EQ(*ParseDouble("12"), 12.0);
+  EXPECT_EQ(*ParseDouble("-3"), -3.0);
+  EXPECT_EQ(*ParseDouble("1e3"), 1000.0);
+  EXPECT_EQ(*ParseDouble("0.55"), 0.55);
+  EXPECT_EQ(*ParseDouble("9223372036854775808"), 9223372036854775808.0);
+  EXPECT_TRUE(ParseDouble("").status().IsInvalidArgument());
+  EXPECT_TRUE(ParseDouble("abc").status().IsInvalidArgument());
+  EXPECT_TRUE(ParseDouble("12x").status().IsInvalidArgument());
+  EXPECT_TRUE(ParseDouble("1e999").status().IsInvalidArgument());
+}
+
+TEST(ParseIntTest, NarrowsWithARangeCheck) {
+  EXPECT_EQ(*ParseInt<int32_t>("-2147483648"), INT32_MIN);
+  EXPECT_TRUE(ParseInt<int32_t>("4294967296").status().IsInvalidArgument());
+  EXPECT_TRUE(ParseInt<int32_t>("2147483648").status().IsInvalidArgument());
+  EXPECT_TRUE(ParseInt<uint64_t>("-1").status().IsInvalidArgument());
+  EXPECT_EQ(*ParseInt<uint64_t>("7"), 7u);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include "core/brute_force.h"
 #include "core/fairness_heuristic.h"
 #include "core/greedy_selector.h"
-#include "core/group_recommender.h"
+#include "core/group_context.h"
 #include "data/scenario.h"
 #include "eval/metrics.h"
 #include "mapreduce/pipeline.h"
@@ -17,6 +17,7 @@
 #include "sim/hybrid_similarity.h"
 #include "sim/incremental_peer_graph.h"
 #include "sim/pairwise_engine.h"
+#include "sim/peer_adapter.h"
 #include "sim/peer_index.h"
 #include "sim/profile_similarity.h"
 #include "sim/rating_similarity.h"
@@ -52,24 +53,50 @@ class EndToEndTest : public ::testing::Test {
     return options;
   }
 
+  /// The engine-built Def. 1 graph of the shifted rating similarity at the
+  /// default delta: the serving path's peers.
+  static PeerIndex RatingPeers() {
+    RatingSimilarityOptions rs_options;
+    rs_options.shift_to_unit_interval = true;
+    PeerIndexOptions peer_options;
+    peer_options.delta = DefaultRecOptions().peers.delta;
+    const PairwiseSimilarityEngine engine(&scenario().ratings, rs_options);
+    return std::move(engine.BuildPeerIndex(peer_options)).ValueOrDie();
+  }
+
+  /// The Def. 1 graph of any other measure: one Compute per pair, kept at
+  /// `delta` with no cap.
+  static DensePeerAdapter AdapterPeers(const UserSimilarity& sim,
+                                       double delta) {
+    PeerIndexOptions peer_options;
+    peer_options.delta = delta;
+    return DensePeerAdapter(sim, scenario().ratings.num_users(), peer_options);
+  }
+
+  /// Eq. 1 per member, aggregated by Def. 2: the selectors' input.
+  static GroupContext ContextOf(const Recommender& recommender,
+                                const Group& group,
+                                GroupContextOptions options = {}) {
+    const auto members =
+        std::move(recommender.RelevanceForGroup(group)).ValueOrDie();
+    return std::move(GroupContext::Build(members, options)).ValueOrDie();
+  }
+
   static Scenario* scenario_;
 };
 
 Scenario* EndToEndTest::scenario_ = nullptr;
 
 TEST_F(EndToEndTest, RatingsPathProducesFairSelection) {
-  RatingSimilarityOptions sim_options;
-  sim_options.shift_to_unit_interval = true;
-  const RatingSimilarity similarity(&scenario().ratings, sim_options);
-  const Recommender recommender =
-      Recommender::ForSimilarityScan(&scenario().ratings, &similarity,
-                                     DefaultRecOptions());
-  const GroupRecommender group_rec(&recommender, {});
+  const PeerIndex peers = RatingPeers();
+  const Recommender recommender(&scenario().ratings, &peers,
+                                DefaultRecOptions());
   const Group group = scenario().MakeCohesiveGroup(4, 42);
 
   const FairnessHeuristic heuristic;
   const Selection selection =
-      std::move(group_rec.RecommendFair(group, 6, heuristic)).ValueOrDie();
+      std::move(heuristic.Select(ContextOf(recommender, group), 6))
+          .ValueOrDie();
   EXPECT_EQ(selection.items.size(), 6u);
   EXPECT_DOUBLE_EQ(selection.score.fairness, 1.0);  // z=6 >= |G|=4 (Prop. 1)
   const std::set<ItemId> unique(selection.items.begin(), selection.items.end());
@@ -103,10 +130,11 @@ TEST_F(EndToEndTest, AllThreeSimilarityMeasuresDriveTheSamePipeline) {
   for (const Case& c : cases) {
     RecommenderOptions options = DefaultRecOptions();
     options.peers.delta = c.delta;
-    const Recommender recommender =
-      Recommender::ForSimilarityScan(&scenario().ratings, c.sim, options);
-    const GroupRecommender group_rec(&recommender, {});
-    const auto context = group_rec.BuildContext(group);
+    const DensePeerAdapter peers = AdapterPeers(*c.sim, c.delta);
+    const Recommender recommender(&scenario().ratings, &peers, options);
+    const auto members = recommender.RelevanceForGroup(group);
+    ASSERT_TRUE(members.ok()) << c.sim->name();
+    const auto context = GroupContext::Build(*members);
     ASSERT_TRUE(context.ok()) << c.sim->name();
     EXPECT_GT(context->num_candidates(), 0) << c.sim->name();
     const FairnessHeuristic heuristic;
@@ -133,13 +161,13 @@ TEST_F(EndToEndTest, HybridSimilarityEndToEnd) {
 
   RecommenderOptions options = DefaultRecOptions();
   options.peers.delta = 0.35;
-  const Recommender recommender =
-      Recommender::ForSimilarityScan(&scenario().ratings, hybrid.get(), options);
-  const GroupRecommender group_rec(&recommender, {});
+  const DensePeerAdapter peers = AdapterPeers(*hybrid, options.peers.delta);
+  const Recommender recommender(&scenario().ratings, &peers, options);
   const Group group = scenario().MakeCohesiveGroup(3, 99);
   const FairnessHeuristic heuristic;
   const Selection selection =
-      std::move(group_rec.RecommendFair(group, 5, heuristic)).ValueOrDie();
+      std::move(heuristic.Select(ContextOf(recommender, group), 5))
+          .ValueOrDie();
   EXPECT_EQ(selection.items.size(), 5u);
   EXPECT_DOUBLE_EQ(selection.score.fairness, 1.0);
 }
@@ -154,23 +182,24 @@ TEST_F(EndToEndTest, PrecomputedMatrixAgreesWithDirectSimilarity) {
   options.peers.delta = 0.15;
   const Group group = scenario().MakeRandomGroup(3, 5);
 
-  const Recommender direct =
-      Recommender::ForSimilarityScan(&scenario().ratings, &ss, options);
-  const Recommender precomputed =
-      Recommender::ForSimilarityScan(&scenario().ratings, cached.get(), options);
-  const GroupRecommender direct_rec(&direct, {});
-  const GroupRecommender cached_rec(&precomputed, {});
+  const DensePeerAdapter direct_peers = AdapterPeers(ss, options.peers.delta);
+  const DensePeerAdapter cached_peers =
+      AdapterPeers(*cached, options.peers.delta);
+  const Recommender direct(&scenario().ratings, &direct_peers, options);
+  const Recommender precomputed(&scenario().ratings, &cached_peers, options);
   const FairnessHeuristic heuristic;
   const Selection a =
-      std::move(direct_rec.RecommendFair(group, 4, heuristic)).ValueOrDie();
+      std::move(heuristic.Select(ContextOf(direct, group), 4)).ValueOrDie();
   const Selection b =
-      std::move(cached_rec.RecommendFair(group, 4, heuristic)).ValueOrDie();
+      std::move(heuristic.Select(ContextOf(precomputed, group), 4))
+          .ValueOrDie();
   EXPECT_EQ(a.items, b.items);
 }
 
 TEST_F(EndToEndTest, SparsePeerGraphServingPathMatchesDenseTriangle) {
-  // The retired path: precompute the full U^2 triangle, scan it per member.
-  // The serving path: the engine emits the thresholded peer graph directly.
+  // The dense path: precompute the full U^2 triangle, threshold it through
+  // the adapter. The serving path: the engine emits the thresholded peer
+  // graph directly.
   // Both finish Pearson in the same engine, so contexts and selections must
   // agree exactly.
   RatingSimilarityOptions rs_options;
@@ -182,24 +211,18 @@ TEST_F(EndToEndTest, SparsePeerGraphServingPathMatchesDenseTriangle) {
       std::move(SimilarityMatrix::Precompute(base,
                                              scenario().ratings.num_users()))
           .ValueOrDie();
-  const Recommender dense =
-      Recommender::ForSimilarityScan(&scenario().ratings, cached.get(), rec_options);
-  const GroupRecommender dense_rec(&dense, {});
+  const DensePeerAdapter dense_peers =
+      AdapterPeers(*cached, rec_options.peers.delta);
+  const Recommender dense(&scenario().ratings, &dense_peers, rec_options);
 
-  PeerIndexOptions peer_options;
-  peer_options.delta = rec_options.peers.delta;
-  const PairwiseSimilarityEngine engine(&scenario().ratings, rs_options);
-  const PeerIndex peers =
-      std::move(engine.BuildPeerIndex(peer_options)).ValueOrDie();
-  const GroupRecommender sparse_rec(&scenario().ratings, &peers, rec_options);
+  const PeerIndex peers = RatingPeers();
+  const Recommender sparse(&scenario().ratings, &peers, rec_options);
 
   const FairnessHeuristic heuristic;
   for (const uint64_t seed : {5u, 42u, 99u}) {
     const Group group = scenario().MakeRandomGroup(4, seed);
-    const GroupContext dense_ctx =
-        std::move(dense_rec.BuildContext(group)).ValueOrDie();
-    const GroupContext sparse_ctx =
-        std::move(sparse_rec.BuildContext(group)).ValueOrDie();
+    const GroupContext dense_ctx = ContextOf(dense, group);
+    const GroupContext sparse_ctx = ContextOf(sparse, group);
     ASSERT_EQ(sparse_ctx.num_candidates(), dense_ctx.num_candidates());
     for (int32_t c = 0; c < dense_ctx.num_candidates(); ++c) {
       EXPECT_EQ(sparse_ctx.candidate(c).item, dense_ctx.candidate(c).item);
@@ -220,7 +243,7 @@ TEST_F(EndToEndTest, SparsePeerGraphServingPathMatchesDenseTriangle) {
 }
 
 TEST_F(EndToEndTest, IncrementalDeltaRefreshesTheServedPeerGraph) {
-  // The serving wiring of incremental maintenance: GroupRecommender holds
+  // The serving wiring of incremental maintenance: a Recommender holds
   // whatever index() snapshot it was given; after an ApplyDelta the next
   // snapshot must serve exactly what a from-scratch build on the post-delta
   // corpus would, while the old snapshot stays valid for in-flight queries.
@@ -263,15 +286,13 @@ TEST_F(EndToEndTest, IncrementalDeltaRefreshesTheServedPeerGraph) {
   const PeerIndex rebuilt =
       std::move(engine.BuildPeerIndex(peer_options)).ValueOrDie();
 
-  const GroupRecommender served(&graph.matrix(), after.get(), rec_options);
-  const GroupRecommender reference(&graph.matrix(), &rebuilt, rec_options);
+  const Recommender served(&graph.matrix(), after.get(), rec_options);
+  const Recommender reference(&graph.matrix(), &rebuilt, rec_options);
   const FairnessHeuristic heuristic;
   for (const uint64_t seed : {7u, 21u}) {
     const Group group = scenario().MakeRandomGroup(4, seed);
-    const GroupContext served_ctx =
-        std::move(served.BuildContext(group)).ValueOrDie();
-    const GroupContext reference_ctx =
-        std::move(reference.BuildContext(group)).ValueOrDie();
+    const GroupContext served_ctx = ContextOf(served, group);
+    const GroupContext reference_ctx = ContextOf(reference, group);
     ASSERT_EQ(served_ctx.num_candidates(), reference_ctx.num_candidates());
     for (int32_t c = 0; c < reference_ctx.num_candidates(); ++c) {
       EXPECT_EQ(served_ctx.candidate(c).item, reference_ctx.candidate(c).item);
@@ -290,8 +311,8 @@ TEST_F(EndToEndTest, IncrementalDeltaRefreshesTheServedPeerGraph) {
 
 TEST_F(EndToEndTest, PipelinePeerIndexServesFollowUpQueries) {
   // The §IV flow's Job 2 artifact plugs straight back into the serial layer:
-  // a follow-up query for the same group through RelevanceForGroup(group,
-  // peer_index) must reproduce the pipeline's context.
+  // a follow-up query for the same group through a Recommender over
+  // peer_index must reproduce the pipeline's context.
   const Group group = scenario().MakeCohesiveGroup(3, 123);
   PipelineOptions options;
   options.similarity.shift_to_unit_interval = true;
@@ -302,19 +323,14 @@ TEST_F(EndToEndTest, PipelinePeerIndexServesFollowUpQueries) {
       std::move(pipeline.Run(scenario().ratings, group, 6)).ValueOrDie();
   EXPECT_EQ(mr.peer_index.num_entries(), mr.num_similarity_pairs);
 
-  RatingSimilarityOptions rs_options;
-  rs_options.shift_to_unit_interval = true;
-  const RatingSimilarity rs(&scenario().ratings, rs_options);
   RecommenderOptions rec_options;
   rec_options.peers.delta = 0.55;
   rec_options.top_k = 8;
-  const Recommender recommender =
-      Recommender::ForSimilarityScan(&scenario().ratings, &rs, rec_options);
+  const Recommender recommender(&scenario().ratings, &mr.peer_index,
+                                rec_options);
   GroupContextOptions ctx_options;
   ctx_options.top_k = 8;
-  const GroupRecommender group_rec(&recommender, ctx_options);
-  const GroupContext replay =
-      std::move(group_rec.BuildContext(group, mr.peer_index)).ValueOrDie();
+  const GroupContext replay = ContextOf(recommender, group, ctx_options);
 
   ASSERT_EQ(replay.num_candidates(), mr.context.num_candidates());
   for (int32_t c = 0; c < replay.num_candidates(); ++c) {
@@ -325,21 +341,17 @@ TEST_F(EndToEndTest, PipelinePeerIndexServesFollowUpQueries) {
 }
 
 TEST_F(EndToEndTest, MinVetoNeverExceedsAverageRelevance) {
-  RatingSimilarityOptions rs_options;
-  rs_options.shift_to_unit_interval = true;
-  const RatingSimilarity rs(&scenario().ratings, rs_options);
-  const Recommender recommender =
-      Recommender::ForSimilarityScan(&scenario().ratings, &rs, DefaultRecOptions());
+  const PeerIndex peers = RatingPeers();
+  const Recommender recommender(&scenario().ratings, &peers,
+                                DefaultRecOptions());
   const Group group = scenario().MakeRandomGroup(4, 17);
 
   GroupContextOptions min_options;
   min_options.aggregation = AggregationKind::kMinimum;
   GroupContextOptions avg_options;
   avg_options.aggregation = AggregationKind::kAverage;
-  const GroupRecommender min_rec(&recommender, min_options);
-  const GroupRecommender avg_rec(&recommender, avg_options);
-  const GroupContext min_ctx = std::move(min_rec.BuildContext(group)).ValueOrDie();
-  const GroupContext avg_ctx = std::move(avg_rec.BuildContext(group)).ValueOrDie();
+  const GroupContext min_ctx = ContextOf(recommender, group, min_options);
+  const GroupContext avg_ctx = ContextOf(recommender, group, avg_options);
   ASSERT_EQ(min_ctx.num_candidates(), avg_ctx.num_candidates());
   for (int32_t c = 0; c < min_ctx.num_candidates(); ++c) {
     EXPECT_LE(min_ctx.candidate(c).group_relevance,
@@ -348,12 +360,9 @@ TEST_F(EndToEndTest, MinVetoNeverExceedsAverageRelevance) {
 }
 
 TEST_F(EndToEndTest, CohesiveGroupsAreEasierToSatisfyThanRandom) {
-  RatingSimilarityOptions rs_options;
-  rs_options.shift_to_unit_interval = true;
-  const RatingSimilarity rs(&scenario().ratings, rs_options);
-  const Recommender recommender =
-      Recommender::ForSimilarityScan(&scenario().ratings, &rs, DefaultRecOptions());
-  const GroupRecommender group_rec(&recommender, {});
+  const PeerIndex peers = RatingPeers();
+  const Recommender recommender(&scenario().ratings, &peers,
+                                DefaultRecOptions());
   const FairnessHeuristic heuristic;
 
   double cohesive_satisfaction = 0.0;
@@ -361,13 +370,9 @@ TEST_F(EndToEndTest, CohesiveGroupsAreEasierToSatisfyThanRandom) {
   const int trials = 5;
   for (int t = 0; t < trials; ++t) {
     const GroupContext cohesive_ctx =
-        std::move(group_rec.BuildContext(
-                      scenario().MakeCohesiveGroup(4, 1000 + t)))
-            .ValueOrDie();
+        ContextOf(recommender, scenario().MakeCohesiveGroup(4, 1000 + t));
     const GroupContext random_ctx =
-        std::move(
-            group_rec.BuildContext(scenario().MakeRandomGroup(4, 2000 + t)))
-            .ValueOrDie();
+        ContextOf(recommender, scenario().MakeRandomGroup(4, 2000 + t));
     const Selection cs = std::move(heuristic.Select(cohesive_ctx, 6)).ValueOrDie();
     const Selection rs_sel = std::move(heuristic.Select(random_ctx, 6)).ValueOrDie();
     cohesive_satisfaction +=
@@ -391,34 +396,29 @@ TEST_F(EndToEndTest, MapReducePipelineAgreesWithSerialOnScenario) {
   const PipelineResult mr =
       std::move(pipeline.Run(scenario().ratings, group, 6)).ValueOrDie();
 
+  // Serial reference: Eq. 2 evaluated once per pair, no moment shuffle.
   RatingSimilarityOptions rs_options;
   rs_options.shift_to_unit_interval = true;
   const RatingSimilarity rs(&scenario().ratings, rs_options);
+  const DensePeerAdapter peers = AdapterPeers(rs, 0.55);
   RecommenderOptions rec_options;
   rec_options.peers.delta = 0.55;
   rec_options.top_k = 8;
-  const Recommender recommender =
-      Recommender::ForSimilarityScan(&scenario().ratings, &rs, rec_options);
+  const Recommender recommender(&scenario().ratings, &peers, rec_options);
   GroupContextOptions ctx_options;
   ctx_options.top_k = 8;  // must match PipelineOptions::top_k
-  const GroupRecommender group_rec(&recommender, ctx_options);
   const FairnessHeuristic heuristic;
-  const GroupContext serial_ctx =
-      std::move(group_rec.BuildContext(group)).ValueOrDie();
+  const GroupContext serial_ctx = ContextOf(recommender, group, ctx_options);
   const Selection serial = std::move(heuristic.Select(serial_ctx, 6)).ValueOrDie();
   EXPECT_EQ(mr.selection.items, serial.items);
 }
 
 TEST_F(EndToEndTest, SelectorsRankedByValueOnRealScenario) {
-  RatingSimilarityOptions rs_options;
-  rs_options.shift_to_unit_interval = true;
-  const RatingSimilarity rs(&scenario().ratings, rs_options);
-  const Recommender recommender =
-      Recommender::ForSimilarityScan(&scenario().ratings, &rs, DefaultRecOptions());
-  const GroupRecommender group_rec(&recommender, {});
+  const PeerIndex peers = RatingPeers();
+  const Recommender recommender(&scenario().ratings, &peers,
+                                DefaultRecOptions());
   const GroupContext full_ctx =
-      std::move(group_rec.BuildContext(scenario().MakeRandomGroup(4, 31)))
-          .ValueOrDie();
+      ContextOf(recommender, scenario().MakeRandomGroup(4, 31));
   const GroupContext ctx = full_ctx.RestrictToTopM(14);
 
   const BruteForceSelector brute_force;

@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "ratings/rating_matrix.h"
 #include "sim/pairwise_engine.h"
+#include "tests/oracle/naive_peers.h"
 
 namespace fairrec {
 namespace {
@@ -343,13 +344,13 @@ TEST(Job3Test, MatchesSerialRelevanceEstimator) {
   const RatingSimilarity similarity(&m, sim_options);
   PeerFinderOptions peer_options;
   peer_options.delta = delta;
-  const PeerFinder finder(&similarity, m.num_users(), peer_options);
   const RelevanceEstimator estimator(&m);
 
   for (const auto& kv : job3) {
     const ItemId item = kv.key;
     for (size_t g = 0; g < group.size(); ++g) {
-      const std::vector<Peer> peers = finder.FindPeers(group[g], group);
+      const std::vector<Peer> peers =
+          NaivePeers(similarity, m.num_users(), group[g], peer_options, group);
       const auto serial_rel = estimator.Estimate(peers, item);
       const double mr_rel = kv.value.member_relevance[g];
       if (serial_rel.has_value()) {

@@ -5,8 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "cf/recommender.h"
-#include "core/group_recommender.h"
+#include "core/group_context.h"
 #include "data/scenario.h"
+#include "sim/peer_adapter.h"
 #include "sim/rating_similarity.h"
 
 namespace fairrec {
@@ -36,17 +37,20 @@ PipelineOptions DefaultPipelineOptions() {
 GroupContext SerialContext(const RatingMatrix& matrix, const Group& group,
                            const PipelineOptions& options) {
   const RatingSimilarity similarity(&matrix, options.similarity);
+  PeerIndexOptions peer_options;
+  peer_options.delta = options.delta;
+  const DensePeerAdapter peers(similarity, matrix.num_users(), peer_options);
   RecommenderOptions rec_options;
   rec_options.peers.delta = options.delta;
   rec_options.top_k = options.top_k;
-  const Recommender recommender =
-      Recommender::ForSimilarityScan(&matrix, &similarity, rec_options);
+  const Recommender recommender(&matrix, &peers, rec_options);
   GroupContextOptions ctx_options;
   ctx_options.aggregation = options.aggregation;
   ctx_options.top_k = options.top_k;
   ctx_options.require_all_members = options.require_all_members;
-  const GroupRecommender group_rec(&recommender, ctx_options);
-  return std::move(group_rec.BuildContext(group)).ValueOrDie();
+  const auto members =
+      std::move(recommender.RelevanceForGroup(group)).ValueOrDie();
+  return std::move(GroupContext::Build(members, ctx_options)).ValueOrDie();
 }
 
 TEST(PipelineTest, Fig2EquivalenceWithSerialPath) {

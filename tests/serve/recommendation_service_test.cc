@@ -80,11 +80,15 @@ TEST(RecommendationServiceTest, GroupResponseMatchesDirectPipeline) {
 
   // Reference: the same pipeline assembled by hand from the same snapshot.
   const ServingSnapshot snapshot = source.Acquire();
-  const GroupRecommender group_rec = snapshot.MakeGroupRecommender(
-      ServiceOptions().recommender, ServiceOptions().context);
+  const Recommender recommender =
+      snapshot.MakeRecommender(ServiceOptions().recommender);
+  const auto members =
+      std::move(recommender.RelevanceForGroup(group)).ValueOrDie();
+  const GroupContext context =
+      std::move(GroupContext::Build(members, ServiceOptions().context))
+          .ValueOrDie();
   const FairnessHeuristic heuristic;
-  const Selection want =
-      std::move(group_rec.RecommendFair(group, 4, heuristic)).ValueOrDie();
+  const Selection want = std::move(heuristic.Select(context, 4)).ValueOrDie();
 
   ASSERT_EQ(response.items.size(), want.items.size());
   for (size_t k = 0; k < want.items.size(); ++k) {

@@ -1,8 +1,8 @@
 // Sparse-vs-dense parity suite: the engine-built PeerIndex must reproduce,
-// exactly, the peer sets PeerFinder derives from the dense SimilarityMatrix
-// path. Both routes finish Pearson through the same sufficient-statistics
-// engine, so every comparison below is bitwise (EXPECT_EQ on doubles), not
-// tolerance-based.
+// exactly, the peer sets the naive Def. 1 scan derives from the dense
+// SimilarityMatrix path. Both routes finish Pearson through the same
+// sufficient-statistics engine, so every comparison below is bitwise
+// (EXPECT_EQ on doubles), not tolerance-based.
 
 #include "sim/peer_index.h"
 
@@ -20,6 +20,7 @@
 #include "sim/peer_adapter.h"
 #include "sim/rating_similarity.h"
 #include "sim/similarity_matrix.h"
+#include "tests/oracle/naive_peers.h"
 
 namespace fairrec {
 namespace {
@@ -39,7 +40,8 @@ RatingMatrix MakeRandomMatrix(int32_t num_users, int32_t num_items,
   return std::move(builder.Build()).ValueOrDie();
 }
 
-/// The dense reference: PeerFinder scanning a precomputed SimilarityMatrix.
+/// The dense reference: the naive Def. 1 scan over a precomputed
+/// SimilarityMatrix.
 std::vector<std::vector<Peer>> DensePeerSets(const RatingMatrix& matrix,
                                              const RatingSimilarityOptions& options,
                                              const PeerFinderOptions& finder_options) {
@@ -47,11 +49,10 @@ std::vector<std::vector<Peer>> DensePeerSets(const RatingMatrix& matrix,
   const auto cached =
       std::move(SimilarityMatrix::Precompute(base, matrix.num_users()))
           .ValueOrDie();
-  const PeerFinder finder(cached.get(), matrix.num_users(), finder_options);
   std::vector<std::vector<Peer>> sets;
   sets.reserve(static_cast<size_t>(matrix.num_users()));
   for (UserId u = 0; u < matrix.num_users(); ++u) {
-    sets.push_back(finder.FindPeers(u));
+    sets.push_back(NaivePeers(*cached, matrix.num_users(), u, finder_options));
   }
   return sets;
 }
@@ -81,7 +82,7 @@ void ExpectIndexMatchesDense(const RatingMatrix& matrix,
   }
 }
 
-TEST(PeerIndexParityTest, MatchesDensePeerFinderAcrossOptionGrid) {
+TEST(PeerIndexParityTest, MatchesNaiveScanAcrossOptionGrid) {
   const RatingMatrix matrix = MakeRandomMatrix(70, 45, 0.15, 42);
   for (const bool intersection : {false, true}) {
     for (const int32_t min_overlap : {1, 2, 4}) {
@@ -274,7 +275,7 @@ TEST(PeerIndexTest, EmptyAndOutOfRangeLookups) {
   EXPECT_TRUE(index.PeersOf(5).empty());
 }
 
-TEST(DensePeerAdapterTest, MatchesPeerFinderOverSameSimilarity) {
+TEST(DensePeerAdapterTest, MatchesNaiveScanOverSameSimilarity) {
   // The adapter is the PeerProvider for bases with no sufficient-statistics
   // decomposition; over a cached Pearson matrix it must agree with the scan
   // path exactly.
@@ -293,10 +294,10 @@ TEST(DensePeerAdapterTest, MatchesPeerFinderOverSameSimilarity) {
 
   PeerFinderOptions finder_options;
   finder_options.delta = 0.55;
-  const PeerFinder dense(cached.get(), matrix.num_users(), finder_options);
   for (UserId u = 0; u < matrix.num_users(); ++u) {
     const auto sparse = adapter.PeersOf(u);
-    EXPECT_EQ(std::vector<Peer>(sparse.begin(), sparse.end()), dense.FindPeers(u))
+    EXPECT_EQ(std::vector<Peer>(sparse.begin(), sparse.end()),
+              NaivePeers(*cached, matrix.num_users(), u, finder_options))
         << "u=" << u;
   }
 }

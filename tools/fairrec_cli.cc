@@ -12,6 +12,8 @@
 //                         [--delta 0.55] [--max-memory-mb 256 --spill-dir /tmp/x]
 //   fairrec_cli list-selectors
 //
+// `recommend` and `group` serve from the same artifact: the sparse Def. 1
+// peer graph the sufficient-statistics engine builds from the ratings.
 // `--selector` accepts any SelectorRegistry name or alias, optionally with a
 // `:key=value,...` option tail (e.g. `local-search:max_swaps=50`); the
 // list-selectors command prints the whole zoo with its options.
@@ -31,11 +33,13 @@
 //                              [--workers N] [--timeout-ms N] [--max-attempts N]
 //                              [--out FILE]
 //
+// Numeric flags are parsed strictly: a malformed or out-of-range value (an
+// id outside int32, `--user abc`, `--members 3,x,5`) is a usage error.
+//
 // Exit status: 0 on success, 1 on usage/runtime errors.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -44,11 +48,11 @@
 #include "cf/recommender.h"
 #include "common/blob_io.h"
 #include "common/string_util.h"
-#include "core/group_recommender.h"
-#include "dist/coordinator.h"
-#include "dist/partial_artifact.h"
+#include "core/group_context.h"
 #include "core/selector_registry.h"
 #include "data/scenario.h"
+#include "dist/coordinator.h"
+#include "dist/partial_artifact.h"
 #include "eval/table.h"
 #include "ratings/dataset.h"
 #include "sim/pairwise_engine.h"
@@ -59,7 +63,10 @@
 namespace fairrec {
 namespace {
 
-/// Minimal --flag=value / --flag value parser.
+/// Minimal --flag=value / --flag value parser. The numeric getters are
+/// strict: a malformed or out-of-range value yields the fallback and records
+/// a usage error, which each command checks through status() after reading
+/// its flags and before acting on any of them.
 class Args {
  public:
   Args(int argc, char** argv) {
@@ -82,18 +89,46 @@ class Args {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
+  template <typename T>
+  T GetInt(const std::string& key, T fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+    return it == values_.end() ? fallback
+                               : Check(key, ParseInt<T>(it->second), fallback);
   }
   double GetDouble(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+    return it == values_.end() ? fallback
+                               : Check(key, ParseDouble(it->second), fallback);
+  }
+  /// A comma-separated id list; blank entries are skipped.
+  std::vector<UserId> GetUserIds(const std::string& key) const {
+    std::vector<UserId> ids;
+    for (const std::string& token : Split(Get(key, ""), ',')) {
+      const std::string_view trimmed = Trim(token);
+      if (!trimmed.empty()) {
+        ids.push_back(Check(key, ParseInt<UserId>(trimmed), kInvalidUserId));
+      }
+    }
+    return ids;
   }
   bool Has(const std::string& key) const { return values_.contains(key); }
 
+  /// The first malformed numeric flag read so far, or OK.
+  const Status& status() const { return status_; }
+
  private:
+  template <typename T>
+  T Check(const std::string& key, Result<T> parsed, T fallback) const {
+    if (parsed.ok()) return *parsed;
+    if (status_.ok()) {
+      status_ = Status::InvalidArgument("--" + key + ": " +
+                                        std::string(parsed.status().message()));
+    }
+    return fallback;
+  }
+
   std::map<std::string, std::string> values_;
+  mutable Status status_;
 };
 
 int Usage() {
@@ -117,6 +152,12 @@ int Usage() {
                "                             [--timeout-ms N] "
                "[--max-attempts N] [--out FILE]\n");
   return 1;
+}
+
+/// Reports a malformed flag, then the usage text.
+int UsageError(const Status& status) {
+  std::fprintf(stderr, "error: %s\n", std::string(status.message()).c_str());
+  return Usage();
 }
 
 int RunListSelectors() {
@@ -168,10 +209,11 @@ int RunGenerate(const Args& args) {
     return 1;
   }
   ScenarioConfig config;
-  config.num_patients = static_cast<int32_t>(args.GetInt("users", 400));
-  config.num_documents = static_cast<int32_t>(args.GetInt("docs", 200));
-  config.seed = static_cast<uint64_t>(args.GetInt("seed", 7));
+  config.num_patients = args.GetInt<int32_t>("users", 400);
+  config.num_documents = args.GetInt<int32_t>("docs", 200);
+  config.seed = args.GetInt<uint64_t>("seed", 7);
   config.rating_density = args.GetDouble("density", 0.08);
+  if (!args.status().ok()) return UsageError(args.status());
   const auto scenario = BuildScenario(config);
   if (!scenario.ok()) {
     std::fprintf(stderr, "error: %s\n", scenario.status().ToString().c_str());
@@ -228,17 +270,17 @@ int RunRecommend(const Args& args) {
   }
   RecommenderOptions options;
   options.peers.delta = args.GetDouble("delta", 0.55);
-  options.top_k = static_cast<int32_t>(args.GetInt("k", 10));
-  // One user, one query: the O(U) scan of this user's similarity row beats
-  // building the whole population's peer graph. The group command amortizes
-  // the sparse build across members; this command cannot.
-  RatingSimilarityOptions sim_options;
-  sim_options.shift_to_unit_interval = true;
-  const RatingSimilarity similarity(&dataset->matrix, sim_options);
-  const Recommender recommender =
-      Recommender::ForSimilarityScan(&dataset->matrix, &similarity, options);
-  const auto recs =
-      recommender.RecommendForUser(static_cast<UserId>(args.GetInt("user", -1)));
+  options.top_k = args.GetInt<int32_t>("k", 10);
+  const auto user = args.GetInt<UserId>("user", kInvalidUserId);
+  if (!args.status().ok()) return UsageError(args.status());
+  const auto peers =
+      BuildPeerGraph(dataset->matrix, options.peers.delta, 0, "");
+  if (!peers.ok()) {
+    std::fprintf(stderr, "error: %s\n", peers.status().ToString().c_str());
+    return 1;
+  }
+  const Recommender recommender(&dataset->matrix, &*peers, options);
+  const auto recs = recommender.RecommendForUser(user);
   if (!recs.ok()) {
     std::fprintf(stderr, "error: %s\n", recs.status().ToString().c_str());
     return 1;
@@ -258,24 +300,20 @@ int RunGroup(const Args& args) {
     std::fprintf(stderr, "error: %s\n", dataset.status().ToString().c_str());
     return 1;
   }
-  Group group;
-  for (const std::string& token : Split(args.Get("members", ""), ',')) {
-    if (!Trim(token).empty()) {
-      group.push_back(static_cast<UserId>(std::strtol(token.c_str(), nullptr, 10)));
-    }
-  }
-  if (group.empty()) {
-    std::fprintf(stderr, "error: --members is required (comma-separated ids)\n");
-    return 1;
-  }
-  const auto z = static_cast<int32_t>(args.GetInt("z", 6));
-
+  const Group group = args.GetUserIds("members");
+  const auto z = args.GetInt<int32_t>("z", 6);
   RecommenderOptions rec_options;
   rec_options.peers.delta = args.GetDouble("delta", 0.55);
-  rec_options.top_k = static_cast<int32_t>(args.GetInt("k", 10));
+  rec_options.top_k = args.GetInt<int32_t>("k", 10);
   // --max-memory-mb caps the peer-graph build's resident moment bytes (the
   // laptop-budget knob); overflow tiles page to --spill-dir.
-  const int64_t max_memory_mb = args.GetInt("max-memory-mb", 0);
+  const auto max_memory_mb = args.GetInt<int64_t>("max-memory-mb", 0);
+  if (!args.status().ok()) return UsageError(args.status());
+  if (group.empty()) {
+    std::fprintf(stderr,
+                 "error: --members is required (comma-separated ids)\n");
+    return 1;
+  }
   const std::string spill_dir = args.Get("spill-dir", "");
   if (max_memory_mb < 0) {
     std::fprintf(stderr, "error: --max-memory-mb must be >= 0\n");
@@ -334,8 +372,14 @@ int RunGroup(const Args& args) {
   const std::unique_ptr<ItemSetSelector> selector =
       std::move(selector_or).value();
 
-  const GroupRecommender group_rec(&recommender, ctx_options);
-  const auto selection = group_rec.RecommendFair(group, z, *selector);
+  // Def. 1 peers + Eq. 1 per member -> the Def. 2 context -> the selector.
+  const auto selection = [&]() -> Result<Selection> {
+    FAIRREC_ASSIGN_OR_RETURN(const std::vector<MemberRelevance> members,
+                             recommender.RelevanceForGroup(group));
+    FAIRREC_ASSIGN_OR_RETURN(const GroupContext context,
+                             GroupContext::Build(members, ctx_options));
+    return selector->Select(context, z);
+  }();
   if (!selection.ok()) {
     std::fprintf(stderr, "error: %s\n", selection.status().ToString().c_str());
     return 1;
@@ -384,11 +428,9 @@ int RunGroup(const Args& args) {
 DistWorkerOptions DistOptionsFromArgs(const Args& args) {
   DistWorkerOptions options;
   options.similarity.shift_to_unit_interval = true;
-  options.similarity.min_overlap =
-      static_cast<int32_t>(args.GetInt("min-overlap", 1));
+  options.similarity.min_overlap = args.GetInt<int32_t>("min-overlap", 1);
   options.peers.delta = args.GetDouble("delta", 0.55);
-  options.peers.max_peers_per_user =
-      static_cast<int32_t>(args.GetInt("max-peers", 0));
+  options.peers.max_peers_per_user = args.GetInt<int32_t>("max-peers", 0);
   return options;
 }
 
@@ -425,9 +467,11 @@ int RunBuildWorker(const Args& args) {
                  "required\n");
     return 1;
   }
-  const auto index = static_cast<int32_t>(args.GetInt("partition", -1));
-  const auto count = static_cast<int32_t>(args.GetInt("num-partitions", 0));
-  const auto attempt = static_cast<int32_t>(args.GetInt("attempt", 0));
+  const auto index = args.GetInt<int32_t>("partition", -1);
+  const auto count = args.GetInt<int32_t>("num-partitions", 0);
+  const auto attempt = args.GetInt<int32_t>("attempt", 0);
+  const DistWorkerOptions worker_options = DistOptionsFromArgs(args);
+  if (!args.status().ok()) return UsageError(args.status());
   if (index < 0 || count < 1 || index >= count) {
     std::fprintf(stderr, "error: need 0 <= --partition < --num-partitions\n");
     return 1;
@@ -439,7 +483,7 @@ int RunBuildWorker(const Args& args) {
   }
   const auto artifact = BuildPartialPeerArtifact(
       dataset->matrix, MakePartition(index, count, dataset->matrix.num_users()),
-      attempt, DistOptionsFromArgs(args));
+      attempt, worker_options);
   if (!artifact.ok()) {
     std::fprintf(stderr, "error: %s\n", artifact.status().ToString().c_str());
     return 1;
@@ -511,13 +555,13 @@ int RunDistBuild(const Args& args) {
     return 1;
   }
   DistBuildOptions options;
-  options.num_partitions = static_cast<int32_t>(args.GetInt("partitions", 0));
-  options.worker_slots = static_cast<size_t>(args.GetInt("workers", 0));
+  options.num_partitions = args.GetInt<int32_t>("partitions", 0);
+  options.worker_slots = args.GetInt<size_t>("workers", 0);
   options.artifact_dir = args.Get("dir", "");
   options.worker = DistOptionsFromArgs(args);
-  options.task_timeout_millis = args.GetInt("timeout-ms", 0);
-  options.retry.max_attempts =
-      static_cast<int32_t>(args.GetInt("max-attempts", 4));
+  options.task_timeout_millis = args.GetInt<int64_t>("timeout-ms", 0);
+  options.retry.max_attempts = args.GetInt<int32_t>("max-attempts", 4);
+  if (!args.status().ok()) return UsageError(args.status());
   if (options.num_partitions < 1 || options.artifact_dir.empty()) {
     std::fprintf(stderr, "error: --partitions and --dir are required\n");
     return 1;

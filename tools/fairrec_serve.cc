@@ -23,6 +23,7 @@
 
 #include "common/random.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "core/selector_registry.h"
 #include "ratings/rating_delta.h"
 #include "ratings/rating_matrix.h"
@@ -283,28 +284,44 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Strict numeric values: a malformed or out-of-range one is a usage
+    // error, never a silent 0.
+    const auto parsed = [&](auto result) {
+      if (!result.ok()) {
+        std::fprintf(stderr, "invalid value for %s: %s\n", arg.c_str(),
+                     std::string(result.status().message()).c_str());
+        std::exit(1);
+      }
+      return *result;
+    };
+    const auto next_int = [&] {
+      return parsed(fairrec::ParseInt<int32_t>(next()));
+    };
+    const auto next_double = [&] {
+      return parsed(fairrec::ParseDouble(next()));
+    };
     if (arg == "--users") {
-      config.num_users = std::atoi(next());
+      config.num_users = next_int();
     } else if (arg == "--items") {
-      config.num_items = std::atoi(next());
+      config.num_items = next_int();
     } else if (arg == "--density") {
-      config.density = std::atof(next());
+      config.density = next_double();
     } else if (arg == "--seed") {
-      config.seed = std::strtoull(next(), nullptr, 10);
+      config.seed = parsed(fairrec::ParseInt<uint64_t>(next()));
     } else if (arg == "--seconds") {
-      config.seconds = std::atof(next());
+      config.seconds = next_double();
     } else if (arg == "--clients") {
-      config.clients = std::atoi(next());
+      config.clients = next_int();
     } else if (arg == "--workers") {
-      config.workers = std::atoi(next());
+      config.workers = next_int();
     } else if (arg == "--queue") {
-      config.max_queue = std::atoi(next());
+      config.max_queue = next_int();
     } else if (arg == "--group-fraction") {
-      config.group_fraction = std::atof(next());
+      config.group_fraction = next_double();
     } else if (arg == "--group-size") {
-      config.group_size = std::atoi(next());
+      config.group_size = next_int();
     } else if (arg == "--z") {
-      config.z = std::atoi(next());
+      config.z = next_int();
     } else if (arg == "--selector") {
       config.selector = next();
       if (!fairrec::SelectorRegistry::Global().Has(config.selector)) {
@@ -312,9 +329,9 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (arg == "--update-batch") {
-      config.update_batch = std::atof(next());
+      config.update_batch = next_double();
     } else if (arg == "--updates") {
-      config.updates = std::atoi(next());
+      config.updates = next_int();
     } else if (arg == "--verbose") {
       config.verbose = true;
     } else {
