@@ -138,7 +138,6 @@ struct PhaseResult {
   int64_t store_pairs = 0;
   int64_t index_entries = 0;
   uint64_t index_fingerprint = 0;
-  OutOfCoreBuildStats build_stats;
   TileResidencyStats residency;
   PairwiseEngineStats sweep_stats;
 };
@@ -154,8 +153,7 @@ int RunBudgetedBuild(const RatingMatrix& matrix, const BenchConfig& config,
   r.budget_bytes = budget_bytes;
 
   Stopwatch build_clock;
-  auto store = BuildMomentStoreOutOfCore(matrix, build_options,
-                                         &r.build_stats);
+  auto store = BuildMomentStoreOutOfCore(matrix, build_options);
   r.build_seconds = build_clock.ElapsedSeconds();
   if (!store.ok()) {
     std::fprintf(stderr, "out-of-core build failed: %s\n",
@@ -189,34 +187,16 @@ int RunBudgetedBuild(const RatingMatrix& matrix, const BenchConfig& config,
 
 void PrintResidency(const char* label, const PhaseResult& r) {
   std::printf(
-      "%s: build %7.2f s (emit %.2f + assemble %.2f)  sweep %7.2f s  "
+      "%s: build %7.2f s  finish %7.2f s  "
       "peak resident %7.1f MiB / budget %7.1f MiB  "
       "(%lld spill writes, %lld restores, %.1f MiB spilled)\n",
-      label, r.build_seconds, r.build_stats.emit_seconds,
-      r.build_stats.assemble_seconds, r.finish_seconds,
+      label, r.build_seconds, r.finish_seconds,
       static_cast<double>(r.residency.peak_resident_bytes) / (1024.0 * 1024.0),
       static_cast<double>(r.budget_bytes) / (1024.0 * 1024.0),
       static_cast<long long>(r.residency.spill_writes),
       static_cast<long long>(r.residency.restores),
       static_cast<double>(r.residency.spill_bytes_written) /
           (1024.0 * 1024.0));
-}
-
-void WriteShuffleJson(std::FILE* out, const MomentShuffleStats& s,
-                      const char* indent) {
-  std::fprintf(out,
-               "%s\"shuffle\": {\n"
-               "%s  \"records_in\": %lld,\n"
-               "%s  \"groups_out\": %lld,\n"
-               "%s  \"runs_spilled\": %lld,\n"
-               "%s  \"spilled_bytes\": %llu,\n"
-               "%s  \"peak_buffer_bytes\": %zu\n"
-               "%s},\n",
-               indent, indent, static_cast<long long>(s.records_in), indent,
-               static_cast<long long>(s.groups_out), indent,
-               static_cast<long long>(s.runs_spilled), indent,
-               static_cast<unsigned long long>(s.spilled_bytes), indent,
-               s.peak_buffer_bytes, indent);
 }
 
 void WriteResidencyJson(std::FILE* out, const TileResidencyStats& s,
@@ -376,17 +356,12 @@ int Run(const BenchConfig& config) {
                "    \"engine_store_seconds\": %.6f,\n"
                "    \"engine_index_seconds\": %.6f,\n"
                "    \"build_seconds\": %.6f,\n"
-               "    \"emit_seconds\": %.6f,\n"
-               "    \"assemble_seconds\": %.6f,\n"
                "    \"sweep_seconds\": %.6f,\n",
                static_cast<unsigned long long>(config.seed), config.threads,
                config.tile_users, config.cross_users, config.cross_items,
                config.cross_degree, cross_result.budget_bytes, unbounded_bytes,
                engine_store_seconds, engine_index_seconds,
-               cross_result.build_seconds, cross_result.build_stats.emit_seconds,
-               cross_result.build_stats.assemble_seconds,
-               cross_result.finish_seconds);
-  WriteShuffleJson(out, cross_result.build_stats.shuffle, "    ");
+               cross_result.build_seconds, cross_result.finish_seconds);
   WriteResidencyJson(out, cross_result.residency, "    ");
   std::fprintf(out,
                "    \"store_pairs\": %lld,\n"
@@ -414,15 +389,10 @@ int Run(const BenchConfig& config) {
                  "    \"budget_bytes\": %zu,\n"
                  "    \"corpus_seconds\": %.6f,\n"
                  "    \"build_seconds\": %.6f,\n"
-                 "    \"emit_seconds\": %.6f,\n"
-                 "    \"assemble_seconds\": %.6f,\n"
                  "    \"sweep_seconds\": %.6f,\n",
                  config.big_users, config.big_items, config.big_degree,
                  big_result.budget_bytes, big_result.corpus_seconds,
-                 big_result.build_seconds, big_result.build_stats.emit_seconds,
-                 big_result.build_stats.assemble_seconds,
-                 big_result.finish_seconds);
-    WriteShuffleJson(out, big_result.build_stats.shuffle, "    ");
+                 big_result.build_seconds, big_result.finish_seconds);
     WriteResidencyJson(out, big_result.residency, "    ");
     std::fprintf(out,
                  "    \"store_pairs\": %lld,\n"

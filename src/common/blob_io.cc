@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -22,6 +23,8 @@ constexpr uint32_t kBlobVersion = 1;
 /// the header CRC follows these 24 bytes.
 constexpr size_t kHeaderBytes =
     sizeof(uint32_t) * 3 + sizeof(uint64_t) + sizeof(uint32_t);
+/// Everything ahead of the payload: the header and its CRC (28 bytes).
+constexpr size_t kFileHeaderBytes = kHeaderBytes + sizeof(uint32_t);
 
 std::string ErrnoMessage(const std::string& op, const std::string& path) {
   return op + " " + path + ": " + std::strerror(errno);
@@ -37,6 +40,23 @@ Status WriteAll(int fd, const char* data, size_t n, const std::string& path) {
     }
     data += written;
     n -= static_cast<size_t>(written);
+  }
+  return Status::OK();
+}
+
+/// read(2) until `n` bytes or end of file; EINTR retries. `*got` receives
+/// the bytes read (fewer than `n` when the file is shorter).
+Status ReadUpTo(int fd, char* data, size_t n, const std::string& path,
+                size_t* got) {
+  *got = 0;
+  while (*got < n) {
+    const ssize_t chunk = ::read(fd, data + *got, n - *got);
+    if (chunk < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError(ErrnoMessage("read", path));
+    }
+    if (chunk == 0) break;  // shrank underneath us; caught by the frame check
+    *got += static_cast<size_t>(chunk);
   }
   return Status::OK();
 }
@@ -65,9 +85,8 @@ Status FlipOneBit(const std::string& path, size_t file_bytes) {
   if (fd < 0) return Status::IOError(ErrnoMessage("open for bit flip", path));
   // Middle of the payload region (past the header when one exists).
   const size_t offset =
-      file_bytes > kHeaderBytes + sizeof(uint32_t)
-          ? kHeaderBytes + sizeof(uint32_t) +
-                (file_bytes - kHeaderBytes - sizeof(uint32_t)) / 2
+      file_bytes > kFileHeaderBytes
+          ? kFileHeaderBytes + (file_bytes - kFileHeaderBytes) / 2
           : file_bytes / 2;
   unsigned char byte = 0;
   if (::pread(fd, &byte, 1, static_cast<off_t>(offset)) != 1) {
@@ -134,18 +153,19 @@ Status WriteBlobFileAtomic(const std::string& path, uint32_t type_tag,
     return failpoint::InjectedCrash(kFailpointBlobWriteBegin);
   }
 
-  std::string file;
-  file.reserve(kHeaderBytes + sizeof(uint32_t) + payload.size());
+  // The header goes out first and the payload straight from the caller's
+  // buffer: no concatenated copy of the file.
+  std::string header;
   {
-    BlobWriter writer(&file);
+    BlobWriter writer(&header);
     writer.U32(kBlobMagic);
     writer.U32(kBlobVersion);
     writer.U32(type_tag);
     writer.U64(static_cast<uint64_t>(payload.size()));
     writer.U32(MaskCrc32c(Crc32c(payload.data(), payload.size())));
-    writer.U32(MaskCrc32c(Crc32c(file.data(), kHeaderBytes)));
-    writer.Bytes(payload);
+    writer.U32(MaskCrc32c(Crc32c(header.data(), kHeaderBytes)));
   }
+  const size_t file_bytes = header.size() + payload.size();
 
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -155,8 +175,12 @@ Status WriteBlobFileAtomic(const std::string& path, uint32_t type_tag,
   // the disk, the rename never happens, and recovery must shrug the temp
   // file off.
   const bool torn = failpoint::Triggered(kFailpointBlobWriteTorn);
-  const size_t to_write = torn ? file.size() / 2 : file.size();
-  const Status write_status = WriteAll(fd, file.data(), to_write, tmp);
+  const size_t to_write = torn ? file_bytes / 2 : file_bytes;
+  const size_t header_part = std::min(to_write, header.size());
+  Status write_status = WriteAll(fd, header.data(), header_part, tmp);
+  if (write_status.ok()) {
+    write_status = WriteAll(fd, payload.data(), to_write - header_part, tmp);
+  }
   if (!write_status.ok()) {
     ::close(fd);
     return write_status;
@@ -184,7 +208,7 @@ Status WriteBlobFileAtomic(const std::string& path, uint32_t type_tag,
   FAIRREC_RETURN_NOT_OK(FsyncPath(DirectoryOf(path), /*directory=*/true));
 
   if (failpoint::Triggered(kFailpointBlobWriteBitFlip)) {
-    FAIRREC_RETURN_NOT_OK(FlipOneBit(path, file.size()));
+    FAIRREC_RETURN_NOT_OK(FlipOneBit(path, file_bytes));
   }
   return Status::OK();
 }
@@ -195,31 +219,29 @@ Result<std::string> ReadBlobFile(const std::string& path, uint32_t type_tag) {
     if (errno == ENOENT) return Status::NotFound("no such blob file: " + path);
     return Status::IOError(ErrnoMessage("open", path));
   }
-  std::string file;
-  {
-    struct stat st{};
-    if (::fstat(fd, &st) != 0) {
-      ::close(fd);
-      return Status::IOError(ErrnoMessage("fstat", path));
-    }
-    file.resize(static_cast<size_t>(st.st_size));
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::IOError(ErrnoMessage("fstat", path));
   }
-  size_t read_so_far = 0;
-  while (read_so_far < file.size()) {
-    const ssize_t got = ::read(fd, file.data() + read_so_far,
-                               file.size() - read_so_far);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Status::IOError(ErrnoMessage("read", path));
-    }
-    if (got == 0) break;  // shrank underneath us; caught by the frame check
-    read_so_far += static_cast<size_t>(got);
+  // The header into a small buffer, the payload straight into the string
+  // the caller gets: no copy of the payload out of a whole-file buffer.
+  const auto file_size = static_cast<size_t>(st.st_size);
+  char header[kFileHeaderBytes];
+  std::string payload(file_size - std::min(file_size, kFileHeaderBytes), '\0');
+  size_t header_read = 0;
+  size_t payload_read = 0;
+  Status read_status =
+      ReadUpTo(fd, header, kFileHeaderBytes, path, &header_read);
+  if (read_status.ok()) {
+    read_status =
+        ReadUpTo(fd, payload.data(), payload.size(), path, &payload_read);
   }
   ::close(fd);
-  file.resize(read_so_far);
+  FAIRREC_RETURN_NOT_OK(read_status);
+  payload.resize(payload_read);
 
-  BlobReader reader(file);
+  BlobReader reader(std::string_view(header, header_read));
   uint32_t magic = 0;
   uint32_t version = 0;
   uint32_t type = 0;
@@ -231,7 +253,7 @@ Result<std::string> ReadBlobFile(const std::string& path, uint32_t type_tag) {
       !reader.U32(&header_crc)) {
     return Status::DataLoss("truncated blob header: " + path);
   }
-  if (Crc32c(file.data(), kHeaderBytes) != UnmaskCrc32c(header_crc)) {
+  if (Crc32c(header, kHeaderBytes) != UnmaskCrc32c(header_crc)) {
     return Status::DataLoss("blob header checksum mismatch: " + path);
   }
   if (magic != kBlobMagic) {
@@ -243,10 +265,9 @@ Result<std::string> ReadBlobFile(const std::string& path, uint32_t type_tag) {
   if (type != type_tag) {
     return Status::DataLoss("blob type tag mismatch: " + path);
   }
-  if (payload_len != reader.remaining()) {
+  if (payload_len != payload.size()) {
     return Status::DataLoss("blob payload length mismatch: " + path);
   }
-  std::string payload = file.substr(file.size() - reader.remaining());
   if (Crc32c(payload.data(), payload.size()) != UnmaskCrc32c(payload_crc)) {
     return Status::DataLoss("blob payload checksum mismatch: " + path);
   }

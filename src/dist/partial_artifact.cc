@@ -13,7 +13,6 @@
 #include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "sim/pairwise_engine.h"
-#include "sim/pearson_finish.h"
 
 namespace fairrec {
 
@@ -218,96 +217,23 @@ Result<PartialPeerArtifact> BuildPartialPeerArtifact(
       partition.index >= partition.count) {
     return Status::InvalidArgument("partition index out of range");
   }
-  if (partition.user_first < 0 ||
-      partition.user_first > partition.user_last ||
-      partition.user_last > matrix.num_users()) {
-    return Status::InvalidArgument("partition slice outside the user range");
-  }
   if (attempt < 0) return Status::InvalidArgument("attempt must be >= 0");
   if (options.similarity.min_overlap < 1) {
     return Status::InvalidArgument("min_overlap must be >= 1");
   }
-  if (options.block_users < 1) {
-    return Status::InvalidArgument("block_users must be >= 1");
-  }
 
-  // Scalar-finish engine seam: FinishPair is bit-identical to the batched
-  // kernel the full sweep drains through, so the partial rows finish to the
-  // exact bytes the single-process build would produce.
+  // The engine's sweep restricted to the pairs this partition owns: rows
+  // [user_first, user_last) x cols [user_first, U), on this worker's thread,
+  // finished through the same batched kernel as the single-process build —
+  // so the offers are the engine's offers for these pairs, bit for bit.
   PairwiseEngineOptions engine_options;
-  engine_options.num_threads = 1;
   engine_options.block_users = options.block_users;
   const PairwiseSimilarityEngine engine(&matrix, options.similarity,
                                         engine_options);
-  PeerIndex::Builder builder(matrix.num_users(), options.peers);
-  const double delta = options.peers.delta;
-  const int32_t num_users = matrix.num_users();
-  const int32_t num_items = matrix.num_items();
-  const auto block = static_cast<UserId>(options.block_users);
-
-  // Accumulate one row-block x col-block tile of complete pair moments, then
-  // drain it. Item-ascending accumulation order matches the engine's sweep;
-  // on the 1..5 integer scale the moments are exactly representable anyway,
-  // so tile geometry cannot perturb the sums.
-  std::vector<PairMoments> acc;
-  const auto drain_pair = [&](UserId a, UserId b, const PairMoments& moments) {
-    const double sim =
-        engine.SkipsFinish(moments) ? 0.0 : engine.FinishPair(moments, a, b);
-    if (sim >= delta) builder.OfferPair(a, b, sim);
-  };
-
-  for (UserId r0 = partition.user_first; r0 < partition.user_last; r0 += block) {
-    const UserId r1 = std::min<UserId>(r0 + block, partition.user_last);
-    const size_t rows = static_cast<size_t>(r1 - r0);
-
-    // Diagonal tile: pairs a < b inside [r0, r1).
-    acc.assign(rows * rows, PairMoments{});
-    for (ItemId i = 0; i < num_items; ++i) {
-      const auto span = matrix.UsersWhoRatedInRange(i, r0, r1);
-      for (size_t p = 0; p < span.size(); ++p) {
-        const double ra = span[p].value;
-        PairMoments* acc_row = &acc[static_cast<size_t>(span[p].user - r0) * rows];
-        for (size_t q = p + 1; q < span.size(); ++q) {
-          acc_row[span[q].user - r0].Add(ra, span[q].value);
-        }
-      }
-    }
-    for (UserId a = r0; a < r1; ++a) {
-      for (UserId b = a + 1; b < r1; ++b) {
-        drain_pair(a, b,
-                   acc[static_cast<size_t>(a - r0) * rows +
-                       static_cast<size_t>(b - r0)]);
-      }
-    }
-
-    // Off-diagonal tiles: rows [r0, r1) x cols [c0, c1) for every column
-    // block to the right — the rest of this partition's owned pairs.
-    for (UserId c0 = r1; c0 < num_users; c0 += block) {
-      const UserId c1 = std::min<UserId>(c0 + block, num_users);
-      const size_t cols = static_cast<size_t>(c1 - c0);
-      acc.assign(rows * cols, PairMoments{});
-      for (ItemId i = 0; i < num_items; ++i) {
-        const auto row_span = matrix.UsersWhoRatedInRange(i, r0, r1);
-        if (row_span.empty()) continue;
-        const auto col_span = matrix.UsersWhoRatedInRange(i, c0, c1);
-        if (col_span.empty()) continue;
-        for (const UserRating& row_entry : row_span) {
-          PairMoments* acc_row =
-              &acc[static_cast<size_t>(row_entry.user - r0) * cols];
-          for (const UserRating& col_entry : col_span) {
-            acc_row[col_entry.user - c0].Add(row_entry.value, col_entry.value);
-          }
-        }
-      }
-      for (UserId a = r0; a < r1; ++a) {
-        for (UserId b = c0; b < c1; ++b) {
-          drain_pair(a, b,
-                     acc[static_cast<size_t>(a - r0) * cols +
-                         static_cast<size_t>(b - c0)]);
-        }
-      }
-    }
-  }
+  FAIRREC_ASSIGN_OR_RETURN(
+      PeerIndex rows,
+      engine.BuildPeerIndex(options.peers, partition.user_first,
+                            partition.user_last));
 
   PartialPeerArtifact artifact;
   artifact.manifest.fingerprint = FingerprintCorpus(matrix);
@@ -315,7 +241,7 @@ Result<PartialPeerArtifact> BuildPartialPeerArtifact(
   artifact.manifest.attempt = attempt;
   artifact.manifest.similarity = options.similarity;
   artifact.manifest.peers = options.peers;
-  artifact.rows = std::move(builder).Build();
+  artifact.rows = std::move(rows);
   return artifact;
 }
 

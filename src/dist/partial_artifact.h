@@ -23,9 +23,11 @@ namespace fairrec {
 /// belongs to the partition containing `a`. Because a pair's co-ratings all
 /// live in the rating matrix (which every worker has), the worker accumulates
 /// the pair's *complete* Pearson sufficient statistics — no cross-worker
-/// moment exchange — and finishes them through the exact scalar finish the
-/// in-memory engine uses. Qualifying pairs (sim >= delta) are offered, both
-/// directions, into a worker-local bounded PeerIndex::Builder.
+/// moment exchange. The worker is the in-memory engine's own sweep
+/// restricted to the rows it owns (PairwiseSimilarityEngine::BuildPeerIndex
+/// over a row range), finished through the same batched kernel:
+/// qualifying pairs (sim >= delta) are offered, both directions, into a
+/// worker-local bounded PeerIndex::Builder.
 ///
 /// Exactness of the merge (no overflow frontier needed): each unordered pair
 /// is owned by exactly one partition, so the union of the workers' offer
@@ -146,8 +148,9 @@ struct DistWorkerOptions {
 };
 
 /// Computes partition `partition`'s partial artifact from `matrix`: the
-/// restricted tile sweep described above, finished through
-/// PairwiseSimilarityEngine::FinishPair. Does not touch the filesystem.
+/// engine sweep over rows [user_first, user_last) x cols [user_first, U) on
+/// the calling thread with options.block_users tiles. Does not touch the
+/// filesystem.
 Result<PartialPeerArtifact> BuildPartialPeerArtifact(
     const RatingMatrix& matrix, const PartitionDescriptor& partition,
     int32_t attempt, const DistWorkerOptions& options);

@@ -257,13 +257,9 @@ Result<Job1SpilledOutput> RunJob1Spilled(
   }
 
   // The shuffle owns the order (global sort on drain), so reducer emission
-  // interleaving never reaches the artifact — but in-run pre-combining
-  // would fold in emission order, so it stays off regardless of what the
-  // caller asked for.
-  MomentShuffleOptions resolved_shuffle = shuffle_options;
-  resolved_shuffle.combine_on_spill = false;
+  // interleaving never reaches the artifact.
   FAIRREC_ASSIGN_OR_RETURN(PairMomentShuffle moments,
-                           PairMomentShuffle::Create(resolved_shuffle));
+                           PairMomentShuffle::Create(shuffle_options));
 
   std::vector<KeyValue<int64_t, RatingTriple>> input;
   input.reserve(ratings.size());

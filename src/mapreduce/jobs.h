@@ -97,12 +97,12 @@ struct Job1SpilledOutput {
 
 /// RunJob1 under a shuffle byte budget: identical map and reduce logic, but
 /// each (member, outside-user, shard, item) moment contribution goes
-/// straight into a PairMomentShuffle configured by `shuffle_options`
-/// (combine_on_spill is forced off — reducer emission order follows
-/// partition scheduling, not items, and in-run pre-combining would change
-/// the fold order). The per-(pair, shard) groups the shuffle's Drain later
-/// delivers are bit-identical to Job1Output::partial_moments at every
-/// budget, including 0 (unbounded buffer, no temp files).
+/// straight into a PairMomentShuffle configured by `shuffle_options`.
+/// Records are never pre-combined inside a run: reducer emission order
+/// follows partition scheduling, not items, so only the drain's global
+/// sort fixes the fold order. The per-(pair, shard) groups the shuffle's
+/// Drain later delivers are bit-identical to Job1Output::partial_moments at
+/// every budget, including 0 (unbounded buffer, no temp files).
 Result<Job1SpilledOutput> RunJob1Spilled(
     const std::vector<RatingTriple>& ratings, const Group& group,
     int32_t num_users, const MomentShuffleOptions& shuffle_options,

@@ -28,17 +28,6 @@ std::span<const UserRating> RatingMatrix::UsersWhoRated(ItemId i) const {
   return {by_item_entries_.data() + begin, end - begin};
 }
 
-std::span<const UserRating> RatingMatrix::UsersWhoRatedInRange(
-    ItemId i, UserId first, UserId last) const {
-  const auto column = UsersWhoRated(i);
-  const auto user_less = [](const UserRating& entry, UserId target) {
-    return entry.user < target;
-  };
-  const auto begin = std::lower_bound(column.begin(), column.end(), first, user_less);
-  const auto end = std::lower_bound(begin, column.end(), last, user_less);
-  return {begin, end};
-}
-
 std::optional<Rating> RatingMatrix::GetRating(UserId u, ItemId i) const {
   if (!IsValidUser(u) || !IsValidItem(i)) return std::nullopt;
   const auto row = ItemsRatedBy(u);

@@ -37,13 +37,6 @@ class RatingMatrix {
   /// U(i): users who rated `i`, sorted by user id. Precondition: valid id.
   std::span<const UserRating> UsersWhoRated(ItemId i) const;
 
-  /// The sub-span of U(i) whose user ids fall in [first, last). O(log |U(i)|).
-  /// This is the column access pattern of the sufficient-statistics similarity
-  /// sweep, which tiles the user-pair triangle into id ranges.
-  /// Precondition: valid item id.
-  std::span<const UserRating> UsersWhoRatedInRange(ItemId i, UserId first,
-                                                   UserId last) const;
-
   /// rating(u, i), or nullopt if u has not rated i. O(log |I(u)|).
   std::optional<Rating> GetRating(UserId u, ItemId i) const;
 

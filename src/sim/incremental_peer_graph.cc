@@ -446,9 +446,9 @@ Result<DeltaApplyStats> IncrementalPeerGraph::ApplyDelta(
                                         options_.engine);
 
   // ---- 5. Re-finish the changed pairs through the full build's finish:
-  // stage into the batched kernel (bit-identical to FinishPair), with
-  // erased and guarded pairs short-circuiting to the literal 0 the kernel's
-  // mask pass would produce. ----
+  // stage into the batched FinishPearsonBatch kernel the tile sweep drains
+  // through, with erased and guarded (SkipsFinish) pairs short-circuiting
+  // to the literal 0 the kernel's mask pass would produce. ----
   std::vector<RowChange> row_changes;
   row_changes.reserve(changed_sim.size() * 2);
   {

@@ -149,8 +149,9 @@ struct DeltaApplyStats {
 ///      and Add the new one);
 ///   3. the deltas fold into the MomentStore (pairs whose overlap drops to
 ///      zero are erased);
-///   4. affected pairs are re-finished through the engine's FinishPair — the
-///      byte-identical finish path of the full build. Under the paper's
+///   4. affected pairs are re-finished through the full build's finish: the
+///      engine's SkipsFinish guard, then the batched FinishPearsonBatch
+///      kernel — byte-identical to the full build. Under the paper's
 ///      global-means Eq. 2 a delta user's µ_u moves, so *all* of that user's
 ///      stored pairs re-finish; under intersection means only pairs with
 ///      changed moments do;

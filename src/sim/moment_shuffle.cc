@@ -26,9 +26,8 @@ constexpr size_t kChunkRecords = 64 * 1024;
 std::atomic<uint64_t> g_shuffle_sequence{0};
 
 /// The total order of the shuffle: (a, b, shard, item). Keys are unique
-/// (a pair co-rates an item at most once; combined records carry disjoint
-/// item intervals), so this order is deterministic regardless of Add
-/// interleaving or run boundaries.
+/// (a pair co-rates an item at most once), so this order is deterministic
+/// regardless of Add interleaving or run boundaries.
 bool RecordLess(const PairMomentShuffle::Record& x,
                 const PairMomentShuffle::Record& y) {
   if (x.a != y.a) return x.a < y.a;
@@ -152,25 +151,6 @@ Status PairMomentShuffle::Add(UserId a, UserId b, int32_t shard, ItemId item,
 
 Status PairMomentShuffle::SpillRun() {
   std::sort(buffer_.begin(), buffer_.end(), RecordLess);
-  if (options_.combine_on_spill) {
-    // Fold equal (a, b, shard) groups in place, in the ascending item order
-    // the sort established. The combined record keeps its first item, so
-    // combined intervals from successive runs still merge in ascending item
-    // order downstream.
-    size_t write = 0;
-    for (size_t read = 0; read < buffer_.size();) {
-      Record group = buffer_[read];
-      size_t next = read + 1;
-      while (next < buffer_.size() && buffer_[next].a == group.a &&
-             buffer_[next].b == group.b && buffer_[next].shard == group.shard) {
-        group.moments.Merge(buffer_[next].moments);
-        ++next;
-      }
-      buffer_[write++] = group;
-      read = next;
-    }
-    buffer_.resize(write);
-  }
 
   const std::string path = RunPath(runs_.size());
   FAIRREC_ASSIGN_OR_RETURN(RunFileWriter writer, RunFileWriter::Create(path));

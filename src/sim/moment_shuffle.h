@@ -23,14 +23,6 @@ struct MomentShuffleOptions {
   /// Directory for spilled run files (created if missing). Required when
   /// max_buffer_bytes > 0.
   std::string temp_dir;
-  /// Pre-fold records of equal (a, b, shard) before writing a run — the
-  /// map-side combine. Sound only when the caller Adds each group's records
-  /// in ascending item order (the engine's canonical fold order); the
-  /// out-of-core store build does, the Job 1 boundary (whose emission order
-  /// follows partition scheduling, not items) must leave this off to keep
-  /// the merged fold order — and therefore the finished artifact — byte-
-  /// identical to the unspilled sort.
-  bool combine_on_spill = false;
 };
 
 /// Accounting of one shuffle's lifetime.
@@ -49,14 +41,13 @@ struct MomentShuffleStats {
 
 /// Memory-bounded external-sort shuffle over (user pair, item shard, item)
 /// keyed PairMoments records — the spilling counterpart of the in-memory
-/// "collect, sort, fold consecutive groups" pattern the MapReduce Job 1
-/// boundary and the out-of-core MomentStore build both use.
+/// "collect, sort, fold consecutive groups" pattern of the MapReduce Job 1
+/// boundary (the paper's Fig. 2 flow).
 ///
 /// Records accumulate in a bounded buffer; when it fills, the buffer is
 /// sorted by the total key (a, b, shard, item) and written to a CRC-framed
 /// run file (common/run_file.h). Drain k-way-merges the runs: because every
-/// record's key is unique (a pair co-rates an item at most once, and
-/// combined records carry disjoint ascending item intervals), the merge
+/// record's key is unique (a pair co-rates an item at most once), the merge
 /// reproduces the exact global sort order of the unspilled path, so folding
 /// consecutive equal-(a, b, shard) records yields bit-identical group
 /// moments at every budget — the property that keeps the spilled MapReduce
@@ -106,7 +97,7 @@ class PairMomentShuffle {
   explicit PairMomentShuffle(MomentShuffleOptions options, uint64_t sequence)
       : options_(std::move(options)), sequence_(sequence) {}
 
-  /// Sorts the buffer, optionally combines, writes it as one run file, and
+  /// Sorts the buffer, writes it as one run file, and
   /// clears the buffer (capacity retained — it is the budget).
   Status SpillRun();
   std::string RunPath(size_t run_index) const;

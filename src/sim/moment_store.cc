@@ -167,34 +167,28 @@ void MomentStore::EnsureNumUsers(int32_t num_users) {
   }
 }
 
-void MomentStore::AppendRowEntry(UserId u, UserId other,
-                                 const PairMoments& moments) {
+void MomentStore::AssignRow(UserId u, std::span<const MomentEntry> entries) {
   FAIRREC_DCHECK(u >= 0 && u < num_users_);
-  FAIRREC_DCHECK(other >= 0 && other < num_users_ && other != u);
-  FAIRREC_DCHECK(moments.n > 0);
   std::vector<MomentEntry>& row = MutableRow(u);
-  FAIRREC_DCHECK(row.empty() || row.back().other < other);
-  row.push_back({other, moments});
-  if (u < other) ++num_pairs_;
+  FAIRREC_DCHECK(row.empty());
+  row.reserve(entries.size() + kRowSlackEntries);
+  row.assign(entries.begin(), entries.end());
+  for (size_t k = 0; k < entries.size(); ++k) {
+    FAIRREC_DCHECK(entries[k].moments.n > 0 && entries[k].other != u);
+    FAIRREC_DCHECK(k == 0 || entries[k - 1].other < entries[k].other);
+    if (u < entries[k].other) ++num_pairs_;
+  }
 }
 
 void MomentStore::FinalizeAssembledTile(size_t t) {
   FAIRREC_DCHECK(t < tiles_.size());
-  Tile& tile = tiles_[t];
-  FAIRREC_CHECK(tile.resident);
-  for (std::vector<MomentEntry>& row : tile.rows) {
-    // push_back growth leaves geometric capacity; compact to the Builder's
-    // size + slack policy so evict/restore is byte-accounting neutral and
-    // the resident budget reflects real entry mass, not growth slack.
-    if (row.capacity() > row.size() + kRowSlackEntries) {
-      std::vector<MomentEntry> compact;
-      compact.reserve(row.size() + kRowSlackEntries);
-      compact.assign(row.begin(), row.end());
-      row = std::move(compact);
-    }
-  }
+  FAIRREC_CHECK(tiles_[t].resident);
   RecomputeTileBytes(t);
   NotePeak();
+}
+
+size_t MomentStore::RowBytesFor(size_t entries) {
+  return (entries + kRowSlackEntries) * sizeof(MomentEntry);
 }
 
 void MomentStore::ApplyPairDeltas(std::span<const PairMomentsDelta> deltas) {

@@ -104,9 +104,9 @@ class MomentStore {
   MomentStore() = default;
 
   /// An empty store with the given tile granularity; grow via
-  /// EnsureNumUsers. The streaming-assembly entry point (the out-of-core
-  /// build fills rows with AppendRowEntry instead of a Builder, whose
-  /// per-row slack reservation would charge every empty row up front).
+  /// EnsureNumUsers. The tile-assembly entry point: the out-of-core build
+  /// fills one tile at a time with AssignRow instead of holding a whole
+  /// Builder's worth of rows.
   explicit MomentStore(MomentStoreOptions options) : options_(options) {}
 
   int32_t num_users() const { return num_users_; }
@@ -127,18 +127,21 @@ class MomentStore {
   /// rows and tiles are untouched; new tiles start resident.
   void EnsureNumUsers(int32_t num_users);
 
-  /// Appends one entry to the end of row `u` — the streaming assembly path
-  /// of the out-of-core build (sim/tile_residency.h), which fills rows in
-  /// ascending (row, other) order from a merged spill stream instead of
-  /// holding a whole Builder's worth of rows. `other` must exceed the row's
-  /// current last entry and the row's tile must be resident. Byte accounting
-  /// is deferred to FinalizeAssembledTile, called once per completed tile.
-  void AppendRowEntry(UserId u, UserId other, const PairMoments& moments);
+  /// Fills the empty row `u` with `entries` (ascending `other`, canonical
+  /// moments, n > 0) at RowBytesFor's capacity — the assembly path of the
+  /// out-of-core build (sim/tile_residency.h), which writes each row once,
+  /// whole, from the engine's row sweep. The row's tile must be resident.
+  /// Byte accounting is deferred to FinalizeAssembledTile, called once per
+  /// completed tile.
+  void AssignRow(UserId u, std::span<const MomentEntry> entries);
 
-  /// Compacts every row of tile `t` to the Builder's size-plus-slack
-  /// capacity policy (so evict/restore stays byte-accounting neutral) and
-  /// recomputes the tile's bytes. Pairs with AppendRowEntry.
+  /// Recomputes tile `t`'s bytes after AssignRow filled its rows.
   void FinalizeAssembledTile(size_t t);
+
+  /// Resident bytes of a row of `entries` entries: the size-plus-slack
+  /// capacity that Builder, RestoreTile and AssignRow all give a row, so
+  /// evict + restore is byte-accounting neutral.
+  static size_t RowBytesFor(size_t entries);
 
   /// Folds a batch of canonical pair deltas into the store: existing pairs
   /// are additively merged (and erased when their overlap count reaches
@@ -211,10 +214,6 @@ class MomentStore {
   size_t peak_bytes() const { return peak_bytes_; }
 
  private:
-  /// The residency manager recomputes tile accounting mid-assembly and
-  /// drives the spill lifecycle through the private tile internals.
-  friend class TileResidencyManager;
-
   struct Tile {
     /// One vector per user id in the tile's range, sorted by `other`.
     std::vector<std::vector<MomentEntry>> rows;

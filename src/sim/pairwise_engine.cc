@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -71,6 +73,14 @@ struct MomentSink {
   }
 };
 
+/// fn(worker, i) for every i in [0, count): across `pool`, or on the
+/// calling thread as worker 0 when `pool` is null.
+void ForEachIndexed(ThreadPool* pool, size_t count,
+                    const std::function<void(size_t, size_t)>& fn) {
+  if (pool != nullptr) return pool->ParallelForIndexed(count, fn);
+  for (size_t i = 0; i < count; ++i) fn(0, i);
+}
+
 }  // namespace
 
 size_t PairwiseSimilarityEngine::PackedTriangleIndex(UserId a, UserId b,
@@ -89,8 +99,8 @@ PairwiseSimilarityEngine::PairwiseSimilarityEngine(
       engine_options_(engine_options) {
   FAIRREC_CHECK(matrix != nullptr);
   // The invariant every finish path relies on: with min_overlap >= 1 the
-  // overlap guard subsumes the n == 0 no-evidence case, so FinishPair /
-  // SkipsFinish are a single comparison. min_overlap <= 0 would not widen
+  // overlap guard subsumes the n == 0 no-evidence case, so SkipsFinish is a
+  // single comparison. min_overlap <= 0 would not widen
   // semantics anyway (1 already disables the guard).
   FAIRREC_CHECK(options.min_overlap >= 1);
 }
@@ -101,50 +111,29 @@ size_t PairwiseSimilarityEngine::PackedTriangleSize(int32_t num_users) {
   return n * (n - 1) / 2;
 }
 
-double PairwiseSimilarityEngine::FinishPair(const PairMoments& stats, UserId a,
-                                            UserId b) const {
-  // Overlap guard before the mean lookups: most pairs in the O(U^2) finish
-  // pass have no co-ratings at all, and the shared finish would repeat the
-  // same guard only after two memory loads per pair. min_overlap >= 1 is
-  // validated at construction, so this single comparison also covers n == 0.
-  if (SkipsFinish(stats)) return 0.0;
-  // The shared moment-finish (sim/pearson_finish.h) — the same function the
-  // MapReduce Job 2 reducers call, so the two flows agree bit-for-bit on
-  // identical moments. Global means come from the matrix's precomputed
-  // per-user means (ignored under intersection_means).
-  return FinishPearsonFromMoments(stats, matrix_->UserMean(a),
-                                  matrix_->UserMean(b), options_);
-}
-
 PairwiseSimilarityEngine::ColumnBlockIndex
-PairwiseSimilarityEngine::BuildColumnIndex(int32_t block,
-                                           ThreadPool& pool) const {
+PairwiseSimilarityEngine::BuildColumnIndex(std::vector<UserId> boundaries,
+                                           ThreadPool* pool) const {
   ColumnBlockIndex index;
-  index.block = block;
-  const int32_t num_users = matrix_->num_users();
+  index.boundaries = std::move(boundaries);
   const int32_t num_items = matrix_->num_items();
-  index.num_blocks =
-      static_cast<size_t>((num_users + block - 1) / block);
-  const size_t stride = index.num_blocks + 1;
+  const size_t stride = index.boundaries.size();
   index.offsets.assign(static_cast<size_t>(num_items) * stride, 0);
   if (num_items == 0) return index;
 
-  // One merge of U(i) against the block boundaries per item: O(|U(i)| +
-  // num_blocks), versus a binary search per (item, tile) in the sweep.
+  // One merge of U(i) against the boundaries per item: O(|U(i)| +
+  // boundaries), versus a binary search per (item, tile) in the sweep.
   const RatingMatrix* matrix = matrix_;
   uint32_t* offsets = index.offsets.data();
-  const size_t num_blocks = index.num_blocks;
-  pool.ParallelFor(static_cast<size_t>(num_items), [matrix, offsets, stride,
-                                                    num_blocks, block,
-                                                    num_users](size_t item) {
+  const UserId* bounds = index.boundaries.data();
+  ForEachIndexed(pool, static_cast<size_t>(num_items),
+                 [matrix, offsets, stride, bounds](size_t, size_t item) {
     const auto column = matrix->UsersWhoRated(static_cast<ItemId>(item));
     uint32_t* row = offsets + item * stride;
     size_t j = 0;
-    for (size_t b = 0; b <= num_blocks; ++b) {
-      const UserId boundary = static_cast<UserId>(
-          std::min<int64_t>(static_cast<int64_t>(b) * block, num_users));
-      while (j < column.size() && column[j].user < boundary) ++j;
-      row[b] = static_cast<uint32_t>(j);
+    for (size_t k = 0; k < stride; ++k) {
+      while (j < column.size() && column[j].user < bounds[k]) ++j;
+      row[k] = static_cast<uint32_t>(j);
     }
   });
   return index;
@@ -158,9 +147,9 @@ void PairwiseSimilarityEngine::SweepTile(const Tile& tile,
                                          PairwiseEngineStats& stats) const {
   const size_t cols = static_cast<size_t>(tile.col_last - tile.col_first);
   const bool diagonal = tile.row_first == tile.col_first;
-  const size_t stride = columns.num_blocks + 1;
-  const size_t rb = static_cast<size_t>(tile.row_first / columns.block);
-  const size_t cb = static_cast<size_t>(tile.col_first / columns.block);
+  const size_t stride = columns.boundaries.size();
+  const size_t rb = tile.row_slot;
+  const size_t cb = tile.col_slot;
 
   // ---- Accumulation: one pass over the item-inverted index. ----
   Stopwatch clock;
@@ -247,36 +236,59 @@ void PairwiseSimilarityEngine::SweepTile(const Tile& tile,
 }
 
 template <typename SinkFactory>
-Status PairwiseSimilarityEngine::SweepAllTiles(
-    const SinkFactory& make_sink, PairwiseEngineStats* stats) const {
+Status PairwiseSimilarityEngine::SweepTiles(UserId row_first, UserId row_last,
+                                            ThreadPool* pool,
+                                            const SinkFactory& make_sink,
+                                            PairwiseEngineStats* stats) const {
   const int32_t num_users = matrix_->num_users();
   if (engine_options_.block_users <= 0) {
     return Status::InvalidArgument("block_users must be positive");
   }
+  if (row_first < 0 || row_first > row_last || row_last > num_users) {
+    return Status::InvalidArgument("row range outside [0, " +
+                                   std::to_string(num_users) + "]");
+  }
   if (num_users <= 1) return Status::OK();
 
-  // Tile the strict upper triangle into block_users x block_users ranges.
-  // Clamping to the population keeps small-corpus scratch proportional to the
-  // real tile size instead of the configured block.
+  // Boundaries: the block_users grid, plus the row range's edges. Clamping
+  // the block to the population keeps small-corpus scratch proportional to
+  // the real tile size instead of the configured block. The grid keeps
+  // every tile within block x block, so the accumulator size is fixed.
   const int32_t block = std::min(engine_options_.block_users, num_users);
+  std::vector<UserId> boundaries;
+  for (UserId b = 0; b < num_users; b += block) boundaries.push_back(b);
+  boundaries.insert(boundaries.end(), {num_users, row_first, row_last});
+  std::sort(boundaries.begin(), boundaries.end());
+  boundaries.erase(std::unique(boundaries.begin(), boundaries.end()),
+                   boundaries.end());
+
+  // Tiles in row-major slot order: a tile is a pair of slots (row k, col m)
+  // with m >= k, since slots with m < k hold only pairs a > b. Both range
+  // edges are boundaries, so a row slot lies wholly inside or outside it.
+  const auto slot_of = [&boundaries](UserId user) {
+    return static_cast<size_t>(
+        std::lower_bound(boundaries.begin(), boundaries.end(), user) -
+        boundaries.begin());
+  };
   std::vector<Tile> tiles;
-  for (UserId r = 0; r < num_users; r += block) {
-    const UserId r_last = std::min<UserId>(r + block, num_users);
-    for (UserId c = r; c < num_users; c += block) {
-      tiles.push_back({r, r_last, c, std::min<UserId>(c + block, num_users)});
+  for (size_t k = slot_of(row_first); k < slot_of(row_last); ++k) {
+    for (size_t m = k; m + 1 < boundaries.size(); ++m) {
+      tiles.push_back({boundaries[k], boundaries[k + 1], boundaries[m],
+                       boundaries[m + 1], k, m});
     }
   }
+  if (tiles.empty()) return Status::OK();
 
-  ThreadPool pool(engine_options_.num_threads);
-  const ColumnBlockIndex columns = BuildColumnIndex(block, pool);
+  const ColumnBlockIndex columns = BuildColumnIndex(std::move(boundaries), pool);
   // Per-worker-slot accumulator blocks, allocated lazily on first tile. The
   // finish pass leaves every visited cell zeroed, so no per-tile memset is
   // needed: untouched cells stay default-constructed across tiles.
-  const size_t num_slots = std::min(pool.num_threads(), tiles.size());
+  const size_t num_slots =
+      pool != nullptr ? std::min(pool->num_threads(), tiles.size()) : 1;
   std::vector<std::vector<PairMoments>> scratch(num_slots);
   std::vector<PairwiseEngineStats> worker_stats(num_slots);
   const size_t cells = static_cast<size_t>(block) * static_cast<size_t>(block);
-  pool.ParallelForIndexed(tiles.size(), [&](size_t worker, size_t t) {
+  ForEachIndexed(pool, tiles.size(), [&](size_t worker, size_t t) {
     std::vector<PairMoments>& acc = scratch[worker];
     if (acc.size() != cells) acc.assign(cells, PairMoments{});
     auto sink = make_sink();
@@ -301,16 +313,33 @@ Status PairwiseSimilarityEngine::ComputeAll(std::span<double> out,
         " entries; packed triangle needs " +
         std::to_string(PackedTriangleSize(num_users)));
   }
-  return SweepAllTiles([&] { return TriangleSink(out, num_users); }, stats);
+  ThreadPool pool(engine_options_.num_threads);
+  return SweepTiles(0, num_users, &pool,
+                    [&] { return TriangleSink(out, num_users); }, stats);
 }
 
 Result<PeerIndex> PairwiseSimilarityEngine::BuildPeerIndex(
     const PeerIndexOptions& peer_options, PairwiseEngineStats* stats) const {
+  ThreadPool pool(engine_options_.num_threads);
+  return SweepPeerIndex(peer_options, 0, matrix_->num_users(), &pool, stats);
+}
+
+Result<PeerIndex> PairwiseSimilarityEngine::BuildPeerIndex(
+    const PeerIndexOptions& peer_options, UserId row_first, UserId row_last,
+    PairwiseEngineStats* stats) const {
+  return SweepPeerIndex(peer_options, row_first, row_last, /*pool=*/nullptr,
+                        stats);
+}
+
+Result<PeerIndex> PairwiseSimilarityEngine::SweepPeerIndex(
+    const PeerIndexOptions& peer_options, UserId row_first, UserId row_last,
+    ThreadPool* pool, PairwiseEngineStats* stats) const {
   if (peer_options.max_peers_per_user < 0) {
     return Status::InvalidArgument("max_peers_per_user must be >= 0");
   }
   PeerIndex::Builder builder(matrix_->num_users(), peer_options);
-  FAIRREC_RETURN_NOT_OK(SweepAllTiles(
+  FAIRREC_RETURN_NOT_OK(SweepTiles(
+      row_first, row_last, pool,
       [&] { return PeerSink{&builder, peer_options.delta}; }, stats));
   return std::move(builder).Build();
 }
@@ -322,9 +351,49 @@ Result<MomentStore> PairwiseSimilarityEngine::BuildMomentStore(
     return Status::InvalidArgument("tile_users must be positive");
   }
   MomentStore::Builder builder(matrix_->num_users(), store_options);
-  FAIRREC_RETURN_NOT_OK(
-      SweepAllTiles([&] { return MomentSink{&builder}; }, stats));
+  ThreadPool pool(engine_options_.num_threads);
+  FAIRREC_RETURN_NOT_OK(SweepTiles(0, matrix_->num_users(), &pool,
+                                   [&] { return MomentSink{&builder}; },
+                                   stats));
   return std::move(builder).Build();
+}
+
+Status PairwiseSimilarityEngine::SweepRowMoments(
+    const RowVisitor& visit) const {
+  const int32_t num_users = matrix_->num_users();
+  // slot[b] is b's index in `row` while b is a partner of the current row.
+  // Each row resets only the slots it set, so the scratch is O(U) once.
+  constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> slot(static_cast<size_t>(num_users), kNoSlot);
+  std::vector<MomentEntry> row;
+  for (UserId u = 0; u < num_users; ++u) {
+    for (const ItemRating& own : matrix_->ItemsRatedBy(u)) {
+      for (const UserRating& other : matrix_->UsersWhoRated(own.item)) {
+        if (other.user == u) continue;
+        uint32_t& s = slot[static_cast<size_t>(other.user)];
+        if (s == kNoSlot) {
+          s = static_cast<uint32_t>(row.size());
+          row.push_back({other.user, PairMoments{}});
+        }
+        // Canonical orientation: the lower id's rating first.
+        if (u < other.user) {
+          row[s].moments.Add(own.value, other.value);
+        } else {
+          row[s].moments.Add(other.value, own.value);
+        }
+      }
+    }
+    for (const MomentEntry& entry : row) {
+      slot[static_cast<size_t>(entry.other)] = kNoSlot;
+    }
+    std::sort(row.begin(), row.end(),
+              [](const MomentEntry& x, const MomentEntry& y) {
+                return x.other < y.other;
+              });
+    FAIRREC_RETURN_NOT_OK(visit(u, row));
+    row.clear();
+  }
+  return Status::OK();
 }
 
 Result<std::vector<double>> PairwiseSimilarityEngine::ComputeAll() const {

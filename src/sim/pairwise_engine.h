@@ -2,6 +2,7 @@
 #define FAIRREC_SIM_PAIRWISE_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -84,19 +85,34 @@ struct PairwiseEngineStats {
 /// Parallelism: the strict upper triangle of the pair matrix is tiled into
 /// user-range blocks; each ThreadPool worker slot owns one tile at a time
 /// plus a private accumulator block, so there are no locks and no shared
-/// cache lines. Output entries are written exactly once. A per-item-block
-/// column index (num_items x num_blocks offsets, built once per sweep)
-/// replaces the per-tile binary search into every item's column, so a tile
-/// locates its item sub-spans with two array loads.
+/// cache lines. Output entries are written exactly once. A column index
+/// (num_items x boundaries offsets, built once per sweep) replaces the
+/// per-tile binary search into every item's column, so a tile locates its
+/// item sub-spans with two array loads.
 ///
-/// Two output modes share the sweep:
+/// Row-range restriction: a sweep may cover only the pairs a < b with a in
+/// [row_first, row_last). Its boundaries are then the block grid
+/// {0, B, 2B, ..., U} plus the two range edges, and its tiles lie inside
+/// the range; the accumulate and drain loops are unchanged. A pair's
+/// moments are Adds over its co-rated items in ascending item order
+/// whatever the tile shape, so a restricted sweep yields the full sweep's
+/// moments.
+///
+/// Output modes sharing the sweep:
 ///
 ///   * ComputeAll — the packed U^2/2 triangle, for callers that genuinely
 ///     need every pair (SimilarityMatrix::Precompute);
 ///   * BuildPeerIndex — each worker finishes its tile's pairs and feeds the
 ///     qualifying ones (sim >= delta, per-user bounded top-k heaps) straight
 ///     into PeerIndex::Builder, so the serving path's peer graph costs
-///     O(U * k) memory and the triangle is never materialized.
+///     O(U * k) memory and the triangle is never materialized. Restricted
+///     to a row range it is the distributed build's worker
+///     (dist/partial_artifact.h);
+///   * BuildMomentStore — the raw moments of every co-rated pair.
+///
+/// SweepRowMoments does not tile: it yields whole store rows from each
+/// user's items and their raters, so its work follows the co-ratings, never
+/// U^2. The out-of-core store build (sim/tile_residency.h) runs on it.
 ///
 /// Numerical note: finishing from raw moments is algebraically identical to
 /// FinishPearson's centered two-pass form but rounds differently, so results
@@ -147,6 +163,14 @@ class PairwiseSimilarityEngine {
   Result<PeerIndex> BuildPeerIndex(const PeerIndexOptions& peer_options,
                                    PairwiseEngineStats* stats = nullptr) const;
 
+  /// BuildPeerIndex restricted to the pairs a < b with a in
+  /// [row_first, row_last), swept on the calling thread: the index spans
+  /// the whole population but holds only offers of those pairs.
+  /// InvalidArgument when the range leaves [0, num_users].
+  Result<PeerIndex> BuildPeerIndex(const PeerIndexOptions& peer_options,
+                                   UserId row_first, UserId row_last,
+                                   PairwiseEngineStats* stats = nullptr) const;
+
   /// Runs the sweep once more, but captures the raw per-pair sufficient
   /// statistics of every co-rated pair (n > 0) instead of finishing them:
   /// the persistent MomentStore that seeds incremental peer-graph
@@ -157,16 +181,21 @@ class PairwiseSimilarityEngine {
       const MomentStoreOptions& store_options = {},
       PairwiseEngineStats* stats = nullptr) const;
 
-  /// Finishes Eq. 2 for pair (a, b) from its raw moments — the exact finish
-  /// the sweep applies (shared guard order, global means from the matrix).
-  /// `stats` must be accumulated in (a, b) orientation with a < b. Public so
-  /// the incremental maintenance path re-finishes patched pairs through the
-  /// byte-identical code path the full build used. Batch-heavy callers use
-  /// SkipsFinish + StagePair instead and flush through FinishPearsonBatch —
-  /// the kernel is bit-identical to this scalar path.
-  double FinishPair(const PairMoments& stats, UserId a, UserId b) const;
+  /// Receives one row of SweepRowMoments: the user and its entries,
+  /// valid only during the call. A non-OK status stops the sweep.
+  using RowVisitor =
+      std::function<Status(UserId u, std::span<const MomentEntry> row)>;
 
-  /// True when FinishPair would return 0 at the overlap guard without
+  /// Every row of BuildMomentStore's store, users ascending: `visit(u, row)`
+  /// gets u's co-rated partners ascending by id with the pair's canonical
+  /// (a < b) moments. Row u is accumulated over I(u) in ascending item
+  /// order, so each pair gets the tiled sweep's Adds in its order: the rows
+  /// are bitwise the stored ones. Work is sum_i |U(i)|^2 Adds plus a sort
+  /// per row; scratch is 4 bytes per user plus the largest row; on the
+  /// calling thread. Returns the first non-OK status of `visit`.
+  Status SweepRowMoments(const RowVisitor& visit) const;
+
+  /// True when the finish would return 0 at the overlap guard without
   /// evaluating Eq. 2 — the staging fast path: callers drop such pairs (or
   /// record a literal 0) instead of occupying a batch lane. min_overlap >= 1
   /// is validated at construction, so the single comparison also covers the
@@ -180,25 +209,31 @@ class PairwiseSimilarityEngine {
 
  private:
   /// One tile of the pair triangle: rows [row_first, row_last) x
-  /// cols [col_first, col_last), with col_first >= row_first.
+  /// cols [col_first, col_last), with col_first >= row_first. Each range
+  /// spans two adjacent boundaries of the sweep's ColumnBlockIndex;
+  /// row_slot / col_slot are the indices of their first boundary.
   struct Tile {
     UserId row_first = 0;
     UserId row_last = 0;
     UserId col_first = 0;
     UserId col_last = 0;
+    size_t row_slot = 0;
+    size_t col_slot = 0;
   };
 
-  /// Per-item-block column offsets: offsets[i * (num_blocks + 1) + b] is the
-  /// index into U(i) of the first entry with user id >= b * block. Built once
-  /// per sweep so tiles slice their row/column sub-spans with two loads
-  /// instead of a binary search per (item, tile).
+  /// Per-boundary column offsets: offsets[i * boundaries.size() + k] is the
+  /// index into U(i) of the first entry with user id >= boundaries[k].
+  /// Built once per sweep so tiles slice their row/column sub-spans with two
+  /// loads instead of a binary search per (item, tile).
   struct ColumnBlockIndex {
-    int32_t block = 0;
-    size_t num_blocks = 0;
+    /// Ascending, from 0 to num_users.
+    std::vector<UserId> boundaries;
     std::vector<uint32_t> offsets;
   };
 
-  ColumnBlockIndex BuildColumnIndex(int32_t block, ThreadPool& pool) const;
+  /// `pool` null fills the index on the calling thread.
+  ColumnBlockIndex BuildColumnIndex(std::vector<UserId> boundaries,
+                                    ThreadPool* pool) const;
 
   /// Accumulates one tile, then drains it. Sinks come in two shapes,
   /// selected at compile time by Sink::kFinishesPairs:
@@ -209,8 +244,9 @@ class PairwiseSimilarityEngine {
   ///     the vectorized FinishPearsonBatch kernel, emitting guarded pairs
   ///     as literal 0 immediately (so OnFinished calls are not globally
   ///     ordered — only batches of them are);
-  ///   * raw sinks (the moment store) receive `sink(a, b, stats)` with the
-  ///     untouched statistics in (a asc, b asc) row-major order.
+  ///   * raw sinks (BuildMomentStore) receive
+  ///     `sink(a, b, stats)` with the untouched statistics in (a asc,
+  ///     b asc) row-major order.
   ///
   /// `stats` (never null; per-worker) accrues the accumulate/finish phase
   /// split and the drained pair count.
@@ -219,13 +255,22 @@ class PairwiseSimilarityEngine {
                  std::vector<PairMoments>& acc, Sink& sink,
                  PairwiseEngineStats& stats) const;
 
-  /// Shared driver: validates options, tiles the triangle, builds the column
-  /// index, and sweeps every tile across the pool. `make_sink()` produces a
-  /// fresh sink per tile. `stats`, when non-null, receives the per-worker
-  /// phase splits summed over the whole sweep.
+  /// Shared driver: validates options and the row range, tiles the pairs
+  /// a < b with a in [row_first, row_last), builds the column index, and
+  /// sweeps every tile across `pool` (null: on the calling thread, in tile
+  /// order). `make_sink()` produces a fresh sink per tile. `stats`, when
+  /// non-null, receives the per-worker phase splits summed over the sweep.
   template <typename SinkFactory>
-  Status SweepAllTiles(const SinkFactory& make_sink,
-                       PairwiseEngineStats* stats) const;
+  Status SweepTiles(UserId row_first, UserId row_last, ThreadPool* pool,
+                    const SinkFactory& make_sink,
+                    PairwiseEngineStats* stats) const;
+
+  /// Both BuildPeerIndex overloads: the sweep of the row range across
+  /// `pool`.
+  Result<PeerIndex> SweepPeerIndex(const PeerIndexOptions& peer_options,
+                                   UserId row_first, UserId row_last,
+                                   ThreadPool* pool,
+                                   PairwiseEngineStats* stats) const;
 
   const RatingMatrix* matrix_;
   RatingSimilarityOptions options_;

@@ -18,19 +18,6 @@ namespace {
 /// blob can never be loaded as a checkpoint or journal and vice versa.
 constexpr uint32_t kTileSpillTypeTag = 0x53540001u;
 
-/// Appends between budget re-checks during out-of-core assembly: small
-/// enough that the fill overshoots the budget by at most a few hundred KiB
-/// of fresh entries, large enough that the re-accounting walk (one pass over
-/// the tile's row capacities) stays negligible against the appends.
-constexpr int64_t kAppendsPerBudgetCheck = 4096;
-
-/// Headroom each assembly budget check reserves for the appends until the
-/// next one: the entries themselves plus the worst-case push_back capacity
-/// doubling (capacity <= 2 x size), so resident bytes stay under the budget
-/// *between* checks, not only at them.
-constexpr size_t kAssemblyHeadroomBytes =
-    2 * static_cast<size_t>(kAppendsPerBudgetCheck) * sizeof(MomentEntry);
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -122,10 +109,6 @@ Status TileResidencyManager::EnsureResident(size_t t) {
   // The blob still matches the rows (restores do not dirty); a future clean
   // eviction reuses it without rewriting.
   return EnforceBudgetExcept(t, 0);
-}
-
-Status TileResidencyManager::EnsureRowResident(UserId u) {
-  return EnsureResident(TileOfUser(u));
 }
 
 Status TileResidencyManager::Pin(size_t t) {
@@ -246,13 +229,6 @@ Status TileResidencyManager::RestoreAll() {
   return Status::OK();
 }
 
-void TileResidencyManager::RecomputeTileBytes(size_t t) {
-  FAIRREC_CHECK(t < tiles_.size());
-  store_->RecomputeTileBytes(t);
-  store_->NotePeak();
-  NoteResidentPeak();
-}
-
 // ---------------------------------------------------------------------------
 // Out-of-core build
 // ---------------------------------------------------------------------------
@@ -263,14 +239,9 @@ Result<OutOfCoreStore> BuildMomentStoreOutOfCore(
   if (options.store.tile_users <= 0) {
     return Status::InvalidArgument("store.tile_users must be positive");
   }
-  size_t shuffle_buffer = options.shuffle_buffer_bytes;
-  if (shuffle_buffer == 0 && options.budget_bytes > 0) {
-    shuffle_buffer = options.budget_bytes / 4;
-  }
-  if ((options.budget_bytes > 0 || shuffle_buffer > 0) &&
-      options.spill_dir.empty()) {
+  if (options.budget_bytes > 0 && options.spill_dir.empty()) {
     return Status::InvalidArgument(
-        "an out-of-core build needs a spill_dir for tiles and shuffle runs");
+        "a budgeted out-of-core build needs a spill_dir for its tiles");
   }
 
   OutOfCoreStore out;
@@ -283,91 +254,44 @@ Result<OutOfCoreStore> BuildMomentStoreOutOfCore(
     out.residency = std::make_unique<TileResidencyManager>(std::move(manager));
   }
 
-  MomentShuffleOptions shuffle_options;
-  shuffle_options.max_buffer_bytes = shuffle_buffer;
-  shuffle_options.temp_dir = options.spill_dir;
-  // The item sweep below emits each group's records in ascending item
-  // order, which is exactly the precondition that makes the map-side
-  // combine sound (see MomentShuffleOptions::combine_on_spill).
-  shuffle_options.combine_on_spill = true;
-  FAIRREC_ASSIGN_OR_RETURN(PairMomentShuffle shuffle,
-                           PairMomentShuffle::Create(shuffle_options));
-
-  // Emit: the engine's item-inverted accumulation, flattened into streamed
-  // per-item singleton moments. Both row orientations of a pair carry the
-  // *canonical* (min-id as a) moments — the store's bidirectional adjacency
-  // invariant — so the merged fold reproduces the engine's accumulation
-  // exactly (bit-identical on integer scales, where every partial sum is
-  // exactly representable regardless of fold association).
-  Stopwatch emit_watch;
-  for (ItemId item = 0; item < matrix.num_items(); ++item) {
-    const auto column = matrix.UsersWhoRated(item);
-    for (size_t x = 0; x < column.size(); ++x) {
-      for (size_t y = x + 1; y < column.size(); ++y) {
-        // Columns ascend in user id, so column[x].user is the canonical a.
-        PairMoments m;
-        m.Add(column[x].value, column[y].value);
-        FAIRREC_RETURN_NOT_OK(
-            shuffle.Add(column[x].user, column[y].user, 0, item, m));
-        FAIRREC_RETURN_NOT_OK(
-            shuffle.Add(column[y].user, column[x].user, 0, item, m));
-      }
-    }
-  }
-  if (stats != nullptr) stats->emit_seconds = emit_watch.ElapsedSeconds();
-
-  // Assemble: the drain delivers (row, other) groups in ascending order, so
-  // rows fill front-to-back and tiles complete one at a time. The tile
-  // being filled is pinned; finished tiles are dirtied (their blob, if any,
-  // predates the fill) and become eviction candidates as the budget
-  // demands.
-  Stopwatch assemble_watch;
+  if (stats != nullptr) *stats = {};
+  // The engine's row sweep writes the store row by row, tile after tile.
+  // It accumulates row u over I(u) and every U(i): work follows the
+  // co-ratings, never the U^2 pair count, and the rows are bitwise the
+  // engine's store rows. The similarity options are irrelevant: this sweep
+  // never finishes a pair.
+  const PairwiseSimilarityEngine engine(&matrix);
   MomentStore& store = *out.store;
   TileResidencyManager* residency = out.residency.get();
+  const auto num_users = static_cast<size_t>(matrix.num_users());
   const auto tile_users = static_cast<size_t>(options.store.tile_users);
-  size_t current_tile = std::numeric_limits<size_t>::max();
-  int64_t appends_since_check = 0;
-  const auto close_tile = [&]() -> Status {
-    if (current_tile == std::numeric_limits<size_t>::max()) {
-      return Status::OK();
-    }
-    store.FinalizeAssembledTile(current_tile);
-    if (residency != nullptr) {
-      residency->NoteTileDirty(current_tile);
-      residency->Unpin(current_tile);
-      FAIRREC_RETURN_NOT_OK(residency->EnforceBudget(0));
-    }
-    return Status::OK();
-  };
-  FAIRREC_RETURN_NOT_OK(shuffle.Drain(
-      [&](UserId row, UserId other, int32_t /*shard*/,
-          const PairMoments& total) -> Status {
-        const size_t t = static_cast<size_t>(row) / tile_users;
-        if (t != current_tile) {
-          FAIRREC_RETURN_NOT_OK(close_tile());
-          if (residency != nullptr) {
-            FAIRREC_RETURN_NOT_OK(residency->Pin(t));
-            FAIRREC_RETURN_NOT_OK(
-                residency->EnforceBudget(kAssemblyHeadroomBytes));
+  FAIRREC_RETURN_NOT_OK(engine.SweepRowMoments(
+      [&](UserId u, std::span<const MomentEntry> row) -> Status {
+        const size_t t = static_cast<size_t>(u) / tile_users;
+        const auto [g0, g1] = store.TileUserRange(t);
+        if (u == g0 && residency != nullptr) {
+          // Room for the whole tile before its first row: a row holds at
+          // most its co-ratings and at most U - 1 partners. The tile then
+          // stays pinned while it fills.
+          size_t tile_bound = 0;
+          for (UserId v = g0; v < g1; ++v) {
+            size_t co_ratings = 0;
+            for (const ItemRating& rating : matrix.ItemsRatedBy(v)) {
+              co_ratings += matrix.UsersWhoRated(rating.item).size() - 1;
+            }
+            tile_bound +=
+                MomentStore::RowBytesFor(std::min(co_ratings, num_users - 1));
           }
-          current_tile = t;
-          appends_since_check = 0;
+          FAIRREC_RETURN_NOT_OK(residency->Pin(t));
+          FAIRREC_RETURN_NOT_OK(residency->EnforceBudget(tile_bound));
         }
-        store.AppendRowEntry(row, other, total);
-        if (residency != nullptr &&
-            ++appends_since_check >= kAppendsPerBudgetCheck) {
-          appends_since_check = 0;
-          residency->RecomputeTileBytes(t);
-          FAIRREC_RETURN_NOT_OK(
-              residency->EnforceBudget(kAssemblyHeadroomBytes));
-        }
-        return Status::OK();
+        store.AssignRow(u, row);
+        if (u + 1 < g1) return Status::OK();
+        store.FinalizeAssembledTile(t);
+        if (residency == nullptr) return Status::OK();
+        residency->Unpin(t);
+        return residency->EnforceBudget(0);
       }));
-  FAIRREC_RETURN_NOT_OK(close_tile());
-  if (stats != nullptr) {
-    stats->assemble_seconds = assemble_watch.ElapsedSeconds();
-    stats->shuffle = shuffle.stats();
-  }
   return out;
 }
 

@@ -72,9 +72,9 @@ struct TileResidencyStats {
 /// one fails restore as DataLoss instead of resurrecting wrong moments.
 ///
 /// Pinning: callers doing multi-step maintenance (the incremental patch
-/// path, the out-of-core assembly) pin the tiles they are about to read or
-/// write; EnforceBudget never evicts a pinned tile, so the budget is
-/// best-effort while pins are held and re-established when they drop.
+/// path, the out-of-core build's tile fill) pin the tiles they are about to
+/// read or write; EnforceBudget never evicts a pinned tile, so the budget
+/// is best-effort while pins are held and re-established when they drop.
 ///
 /// Construct via MomentStore::WithBudget. The store must outlive the
 /// manager and must not move while it exists. Not thread-safe: residency
@@ -100,7 +100,6 @@ class TileResidencyManager {
   /// on a corrupt blob; FailedPrecondition for a tile evicted outside the
   /// manager (no blob to restore from).
   Status EnsureResident(size_t t);
-  Status EnsureRowResident(UserId u);
 
   /// EnsureResident + pin: the tile cannot be evicted until Unpin. Pins
   /// nest.
@@ -112,11 +111,11 @@ class TileResidencyManager {
   /// displacement. No-op past the last tile or when unbounded.
   Status Prefetch(size_t t);
 
-  /// Marks tile `t`'s spill blob stale after its rows changed (a fold, an
-  /// assembly append). The next eviction re-serializes; restoring the stale
-  /// blob is no longer possible, so forgetting this call would resurrect
-  /// pre-fold moments — hence the store's mutation paths in this repo call
-  /// it through their residency hooks, not ad hoc.
+  /// Marks tile `t`'s spill blob stale after its rows changed (a fold). The
+  /// next eviction re-serializes; restoring the stale blob is no longer
+  /// possible, so forgetting this call would resurrect pre-fold moments —
+  /// hence the store's mutation paths in this repo call it through their
+  /// residency hooks, not ad hoc.
   void NoteTileDirty(size_t t);
 
   /// Evicts least-recently-used unpinned tiles until resident bytes +
@@ -127,12 +126,6 @@ class TileResidencyManager {
   /// Restores every spilled tile, ignoring the budget — the precondition of
   /// whole-store operations (checkpoint serialization, operator==).
   Status RestoreAll();
-
-  /// Recomputes tile `t`'s byte accounting from its live rows and notes the
-  /// residency peak — the mid-fill accounting hook of the out-of-core
-  /// assembly, whose appends otherwise defer accounting to
-  /// FinalizeAssembledTile.
-  void RecomputeTileBytes(size_t t);
 
   /// Grows the per-tile state after the store's population grew
   /// (EnsureNumUsers). New tiles start resident with no blob.
@@ -178,27 +171,23 @@ class TileResidencyManager {
 
 /// Knobs of BuildMomentStoreOutOfCore.
 struct OutOfCoreBuildOptions {
-  /// Tile granularity of the assembled store.
+  /// Tile granularity of the assembled store: the unit that is pinned
+  /// while it fills, then spilled and restored.
   MomentStoreOptions store;
   /// Residency budget over the assembled tiles (0 = unbounded — the build
-  /// then degenerates to an external-sorted in-memory assembly).
+  /// then fills every tile in memory and spills nothing).
   size_t budget_bytes = 0;
-  /// Directory for spilled tile blobs and shuffle runs. Required when
-  /// budget_bytes or shuffle_buffer_bytes is set.
+  /// Directory for spilled tile blobs. Required when budget_bytes is set.
   std::string spill_dir;
-  /// Buffer bound of the co-rating shuffle. 0 with budget_bytes set
-  /// defaults to budget_bytes / 4; 0 without a budget keeps the shuffle
-  /// fully in memory.
-  size_t shuffle_buffer_bytes = 0;
 };
 
 /// Accounting of one out-of-core build.
 struct OutOfCoreBuildStats {
+  /// Always zero: the build routes no co-rating through a
+  /// PairMomentShuffle. Kept so callers reading `shuffle.spilled_bytes`
+  /// into a spill total still compile and still add the right figure; the
+  /// tile blobs are counted in the residency manager's stats.
   MomentShuffleStats shuffle;
-  /// Wall seconds of the item-sweep emission into the shuffle.
-  double emit_seconds = 0.0;
-  /// Wall seconds of the merge-drain tile assembly.
-  double assemble_seconds = 0.0;
 };
 
 /// The assembled store plus its residency manager (null when unbounded).
@@ -208,14 +197,16 @@ struct OutOfCoreStore {
   std::unique_ptr<TileResidencyManager> residency;
 };
 
-/// Builds the MomentStore of `matrix` without ever holding the dense
-/// adjacency in memory: the item-inverted sweep emits each co-rated pair's
-/// per-item moments (both row orientations) into a spilling external-sort
-/// shuffle, and the merged (row, other)-ordered stream assembles tiles one
-/// at a time, evicting finished tiles to disk as the budget demands. The
-/// assembled store is bit-identical to
-/// PairwiseSimilarityEngine::BuildMomentStore on the same matrix — same
-/// canonical per-pair moments, exact on integer scales at any budget.
+/// Builds the MomentStore of `matrix` one tile at a time under a byte
+/// budget, from one single-threaded pass of the engine's row sweep
+/// (PairwiseSimilarityEngine::SweepRowMoments): each store tile is pinned
+/// with room for its rows' co-rating bound, filled row by row, then
+/// unpinned, and older tiles spill to disk as the budget demands. Every
+/// pair is accumulated twice, once per row; work follows the co-ratings,
+/// never U^2; spill traffic is tile blobs only. The assembled store is
+/// bit-identical to PairwiseSimilarityEngine::BuildMomentStore on the same
+/// matrix at any budget: every pair's moments are Adds over its co-rated
+/// items in ascending item order on both paths.
 Result<OutOfCoreStore> BuildMomentStoreOutOfCore(
     const RatingMatrix& matrix, const OutOfCoreBuildOptions& options,
     OutOfCoreBuildStats* stats = nullptr);

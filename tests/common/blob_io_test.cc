@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/failpoint.h"
 
@@ -115,9 +116,31 @@ TEST(BlobPrimitivesTest, FramedSectionNeverTrustsTheLength) {
   EXPECT_TRUE(reader.FramedSection(&payload).IsDataLoss());
 }
 
+// Payload sizes around the 28-byte header and a page, plus one past a MiB:
+// the header and the payload go to disk and come back as separate buffers.
+std::vector<size_t> EdgePayloadSizes() {
+  return {0, 1, 27, 28, 4095, 4096, (size_t{1} << 20) + 3};
+}
+
+std::string PatternPayload(size_t len) {
+  std::string payload(len, '\0');
+  for (size_t i = 0; i < len; ++i) {
+    payload[i] = static_cast<char>((i * 131 + len) & 0xff);
+  }
+  return payload;
+}
+
 TEST(BlobFileTest, WriteReadRoundTrip) {
   const std::string path = TestPath("roundtrip.frb");
   ASSERT_TRUE(RemovePath(path).ok());
+  for (const size_t len : EdgePayloadSizes()) {
+    const std::string payload = PatternPayload(len);
+    ASSERT_TRUE(WriteBlobFileAtomic(path, kTag, payload).ok()) << len;
+    EXPECT_EQ(ReadRawFile(path).size(), 28 + len) << len;
+    auto read = ReadBlobFile(path, kTag);
+    ASSERT_TRUE(read.ok()) << len << ": " << read.status().ToString();
+    EXPECT_TRUE(*read == payload) << len;
+  }
   const std::string payload = "some artifact bytes\x00with a nul inside";
   ASSERT_TRUE(WriteBlobFileAtomic(path, kTag, payload).ok());
   auto read = ReadBlobFile(path, kTag);
@@ -203,14 +226,35 @@ TEST(BlobFileTest, InjectedCrashesLeaveOldFileOrNothing) {
   ASSERT_TRUE(RemovePath(path).ok());
 }
 
+TEST(BlobFileTest, TornWriteLeavesHalfTheFileAndNoRename) {
+  const std::string path = TestPath("torn_sizes.frb");
+  const std::string tmp = path + ".tmp";
+  failpoint::Reset();
+  for (const size_t len : EdgePayloadSizes()) {
+    ASSERT_TRUE(RemovePath(path).ok());
+    ASSERT_TRUE(RemovePath(tmp).ok());
+    failpoint::Arm(kFailpointBlobWriteTorn);
+    const Status status = WriteBlobFileAtomic(path, kTag, PatternPayload(len));
+    EXPECT_TRUE(failpoint::IsInjectedCrash(status)) << len;
+    EXPECT_FALSE(PathExists(path)) << len;
+    // The prefix that reached the disk spans the header/payload seam.
+    EXPECT_EQ(ReadRawFile(tmp).size(), (28 + len) / 2) << len;
+  }
+  failpoint::Reset();
+  ASSERT_TRUE(RemovePath(tmp).ok());
+}
+
 TEST(BlobFileTest, InjectedBitFlipIsCaughtOnRead) {
   const std::string path = TestPath("bitflip.frb");
   failpoint::Reset();
-  failpoint::Arm(kFailpointBlobWriteBitFlip);
-  // Silent media corruption: the write itself reports success...
-  ASSERT_TRUE(WriteBlobFileAtomic(path, kTag, "payload bytes").ok());
-  // ...and only the checksum chain can catch it.
-  EXPECT_TRUE(ReadBlobFile(path, kTag).status().IsDataLoss());
+  for (const size_t len : EdgePayloadSizes()) {
+    failpoint::Arm(kFailpointBlobWriteBitFlip);
+    // Silent media corruption: the write itself reports success...
+    ASSERT_TRUE(WriteBlobFileAtomic(path, kTag, PatternPayload(len)).ok())
+        << len;
+    // ...and only the checksum chain can catch it.
+    EXPECT_TRUE(ReadBlobFile(path, kTag).status().IsDataLoss()) << len;
+  }
   failpoint::Reset();
   ASSERT_TRUE(RemovePath(path).ok());
 }

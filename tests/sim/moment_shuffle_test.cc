@@ -1,7 +1,7 @@
 // PairMomentShuffle: the external-sort boundary under every layout must
 // deliver the identical group stream — same keys, same order, bit-identical
-// folded moments — whether everything fit in the buffer, spilled across many
-// runs, or pre-combined at spill time (when the emission order permits it).
+// folded moments — whether everything fit in the buffer or spilled across
+// many runs.
 
 #include <gtest/gtest.h>
 
@@ -140,38 +140,6 @@ TEST(MomentShuffleTest, EveryBufferBudgetDeliversTheIdenticalGroupStream) {
     EXPECT_EQ(shuffle->stats().groups_out,
               static_cast<int64_t>(reference.size()));
   }
-}
-
-TEST(MomentShuffleTest, CombineOnSpillKeepsParityForItemOrderedEmission) {
-  // Emit in global (a, b, shard, item) order — the out-of-core build's
-  // emission pattern, where the map-side combine is sound.
-  auto records = ScrambledRecords(0xc0de);
-  std::sort(records.begin(), records.end(), [](const auto& x, const auto& y) {
-    return std::make_tuple(x.a, x.b, x.shard, x.item) <
-           std::make_tuple(y.a, y.b, y.shard, y.item);
-  });
-
-  auto reference_shuffle = MakeShuffle(0, "combine_ref");
-  ASSERT_TRUE(reference_shuffle.ok());
-  for (const auto& r : records) {
-    ASSERT_TRUE(
-        reference_shuffle->Add(r.a, r.b, r.shard, r.item, r.moments).ok());
-  }
-  const std::vector<Group> reference = DrainAll(*reference_shuffle);
-
-  MomentShuffleOptions options;
-  options.max_buffer_bytes = sizeof(PairMomentShuffle::Record) * 13;
-  options.temp_dir = testing::TempDir() + "/fairrec_shuffle_combine";
-  options.combine_on_spill = true;
-  ASSERT_TRUE(EnsureDirectory(options.temp_dir).ok());
-  auto combining = PairMomentShuffle::Create(options);
-  ASSERT_TRUE(combining.ok());
-  for (const auto& r : records) {
-    ASSERT_TRUE(combining->Add(r.a, r.b, r.shard, r.item, r.moments).ok());
-  }
-  const std::vector<Group> groups = DrainAll(*combining);
-  ExpectSameGroups(groups, reference, "combine_on_spill");
-  EXPECT_GT(combining->stats().runs_spilled, 0);
 }
 
 TEST(MomentShuffleTest, CreateValidatesTheBudgetedConfiguration) {

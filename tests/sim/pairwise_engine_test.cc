@@ -1,6 +1,10 @@
 #include "sim/pairwise_engine.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -266,6 +270,110 @@ TEST(PairwiseEngineTest, PrecomputeOnUserPrefixFallsBackToGenericPath) {
       EXPECT_DOUBLE_EQ(cached->Compute(a, b), base.Compute(a, b));
     }
   }
+}
+
+bool SameBits(const PairMoments& x, const PairMoments& y) {
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  return x.n == y.n && bits(x.sum_a) == bits(y.sum_a) &&
+         bits(x.sum_b) == bits(y.sum_b) && bits(x.sum_aa) == bits(y.sum_aa) &&
+         bits(x.sum_bb) == bits(y.sum_bb) && bits(x.sum_ab) == bits(y.sum_ab);
+}
+
+// The row-range restriction: over random row ranges and block sizes that
+// align with nothing, the restricted BuildPeerIndex (delta below every
+// similarity, no cap) holds exactly the pairs a < b with a in the range,
+// in both users' lists, each similarity bitwise equal to the full sweep's.
+TEST(PairwiseEngineTest, RowRestrictedSweepHoldsExactlyTheRangePairs) {
+  const RatingMatrix matrix = MakeRandomMatrix(57, 30, 0.3, 0x5eed);
+  const UserId n = matrix.num_users();
+  PeerIndexOptions every_pair;
+  every_pair.delta = -2.0;
+  for (const int32_t block : {1, 4, 7, 16, 512}) {
+    PairwiseEngineOptions engine_options;
+    engine_options.block_users = block;
+    const PairwiseSimilarityEngine engine(&matrix, {}, engine_options);
+    const std::vector<double> full = std::move(engine.ComputeAll()).ValueOrDie();
+    Rng rng(0x7ec7u + static_cast<uint64_t>(block));
+    for (int trial = 0; trial < 30; ++trial) {
+      UserId first = static_cast<UserId>(rng.UniformInt(0, n));
+      UserId last = static_cast<UserId>(rng.UniformInt(0, n));
+      if (first > last) std::swap(first, last);
+      const PeerIndex index =
+          std::move(engine.BuildPeerIndex(every_pair, first, last))
+              .ValueOrDie();
+      for (UserId u = 0; u < n; ++u) {
+        std::set<UserId> expected;
+        for (UserId v = 0; v < n; ++v) {
+          if (v != u && std::min(u, v) >= first && std::min(u, v) < last) {
+            expected.insert(v);
+          }
+        }
+        std::set<UserId> got;
+        for (const Peer& peer : index.PeersOf(u)) {
+          EXPECT_TRUE(got.insert(peer.user).second) << u << ", " << peer.user;
+          const double reference =
+              full[PairwiseSimilarityEngine::PackedTriangleIndex(
+                  std::min(u, peer.user), std::max(u, peer.user), n)];
+          EXPECT_EQ(std::bit_cast<uint64_t>(peer.similarity),
+                    std::bit_cast<uint64_t>(reference))
+              << u << ", " << peer.user;
+        }
+        EXPECT_EQ(got, expected) << "user " << u << ", rows [" << first
+                                 << ", " << last << "), block " << block;
+      }
+    }
+  }
+}
+
+TEST(PairwiseEngineTest, RowRestrictedSweepRejectsRangesOutsideThePopulation) {
+  const RatingMatrix matrix = MakeRandomMatrix(20, 10, 0.4, 11);
+  const PairwiseSimilarityEngine engine(&matrix, {}, {});
+  for (const auto& [first, last] :
+       {std::pair<UserId, UserId>{0, 21}, {-1, 5}, {6, 5}}) {
+    EXPECT_TRUE(
+        engine.BuildPeerIndex({}, first, last).status().IsInvalidArgument());
+  }
+  EXPECT_TRUE(engine.BuildPeerIndex({}, 20, 20).ok());
+}
+
+// The row sweep yields every row of the engine's store, in ascending user
+// order, with the same partners and bitwise the same moments — on a random
+// corpus and on the degenerate one (empty rows, disjoint raters).
+TEST(PairwiseEngineTest, RowSweepYieldsTheStoreRows) {
+  for (const RatingMatrix& matrix :
+       {MakeRandomMatrix(61, 35, 0.25, 0xabcd), MakeDegenerateMatrix()}) {
+    const PairwiseSimilarityEngine engine(&matrix, {}, {});
+    const MomentStore store =
+        std::move(engine.BuildMomentStore()).ValueOrDie();
+    UserId next = 0;
+    const Status status = engine.SweepRowMoments(
+        [&](UserId u, std::span<const MomentEntry> row) {
+          EXPECT_EQ(u, next++);
+          const auto stored = store.RowOf(u);
+          EXPECT_EQ(row.size(), stored.size()) << "user " << u;
+          for (size_t k = 0; k < std::min(row.size(), stored.size()); ++k) {
+            EXPECT_EQ(row[k].other, stored[k].other) << u << ", " << k;
+            EXPECT_TRUE(SameBits(row[k].moments, stored[k].moments))
+                << u << ", " << row[k].other;
+          }
+          return Status::OK();
+        });
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(next, matrix.num_users());
+  }
+}
+
+TEST(PairwiseEngineTest, RowSweepStopsAtTheFirstVisitorError) {
+  const RatingMatrix matrix = MakeRandomMatrix(20, 10, 0.4, 11);
+  const PairwiseSimilarityEngine engine(&matrix, {}, {});
+  UserId visited = 0;
+  const Status status =
+      engine.SweepRowMoments([&](UserId u, std::span<const MomentEntry>) {
+        ++visited;
+        return u == 7 ? Status::IOError("disk full") : Status::OK();
+      });
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+  EXPECT_EQ(visited, 8);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // TileResidencyManager + out-of-core build suite. The load-bearing claims:
 //
-//   * the out-of-core build (spilling shuffle -> streamed tile assembly) is
-//     bit-identical to PairwiseSimilarityEngine::BuildMomentStore at every
-//     byte budget, including unbounded;
+//   * the out-of-core build (the engine's row sweep, filling one store tile
+//     at a time) is bit-identical to PairwiseSimilarityEngine::BuildMomentStore at every
+//     tile size and byte budget, including unbounded;
 //   * BuildPeerIndexFromStore is byte-identical to the engine's
 //     BuildPeerIndex, budgeted or not;
 //   * randomized evict/restore/pin/dirty sequences through the manager never
@@ -70,43 +70,80 @@ TEST(OutOfCoreBuildTest, UnboundedBuildMatchesEngineStore) {
   auto built = BuildMomentStoreOutOfCore(matrix, options, &stats);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   EXPECT_EQ(built->residency, nullptr);
+  // Unbounded: every tile stays resident and nothing reaches the disk.
+  for (size_t t = 0; t < built->store->num_tiles(); ++t) {
+    EXPECT_TRUE(built->store->TileResident(t)) << t;
+  }
+  EXPECT_EQ(stats.shuffle.spilled_bytes, 0u);
+  EXPECT_GT(built->store->num_pairs(), 0);
   EXPECT_TRUE(*built->store == reference);
-  EXPECT_EQ(stats.shuffle.runs_spilled, 0);
-  EXPECT_GT(stats.shuffle.records_in, 0);
+  // Rows get the Builder's capacity policy, so the budget sees the same
+  // bytes as the in-memory store.
+  EXPECT_EQ(built->store->ResidentBytes(), reference.ResidentBytes());
 }
 
+std::string Serialized(const PeerIndex& index) {
+  std::string bytes;
+  index.SerializeTo(bytes);
+  return bytes;
+}
+
+// Store tiles need not align with the engine's block: every tile size,
+// including ones that divide neither the population nor each other, at
+// every budget, must give the engine's store and, through the store, the
+// engine's peer index byte for byte.
 TEST(OutOfCoreBuildTest, EveryBudgetYieldsTheIdenticalStore) {
   const RatingMatrix matrix = CorpusMatrix(0xabc2, 64, 48, 0.4);
-  const PairwiseSimilarityEngine engine(&matrix, {}, {});
-  const MomentStore reference =
-      std::move(engine.BuildMomentStore(SmallTiles())).ValueOrDie();
-  // Reference footprint, to pick budgets that genuinely force eviction.
-  const size_t full_bytes = reference.ResidentBytes();
-  ASSERT_GT(full_bytes, 0u);
+  RatingSimilarityOptions sim_options;
+  sim_options.shift_to_unit_interval = true;
+  PeerIndexOptions peer_options;
+  peer_options.delta = 0.5;
+  peer_options.max_peers_per_user = 7;
+  PairwiseEngineOptions engine_options;
+  engine_options.block_users = 16;  // the in-memory sweep's own tiling
+  const PairwiseSimilarityEngine engine(&matrix, sim_options, engine_options);
+  const std::string reference_index =
+      Serialized(std::move(engine.BuildPeerIndex(peer_options)).ValueOrDie());
 
-  int probed = 0;
-  for (const size_t budget : {full_bytes / 3, full_bytes / 2, full_bytes * 2}) {
-    const std::string dir =
-        FreshSpillDir("budget_" + std::to_string(probed++));
-    OutOfCoreBuildOptions options;
-    options.store = SmallTiles();
-    options.budget_bytes = budget;
-    options.spill_dir = dir;
-    // A small shuffle buffer so the external-sort path runs too.
-    options.shuffle_buffer_bytes = 4096;
-    OutOfCoreBuildStats stats;
-    auto built = BuildMomentStoreOutOfCore(matrix, options, &stats);
-    ASSERT_TRUE(built.ok()) << built.status().ToString();
-    ASSERT_NE(built->residency, nullptr);
-    EXPECT_GT(stats.shuffle.runs_spilled, 0);
-    if (budget < full_bytes) {
-      // Tiles must actually have paged out, and the recorded resident peak
-      // must respect the budget (the bench gate's exact property).
-      EXPECT_GT(built->residency->stats().evictions, 0) << budget;
-      EXPECT_LE(built->residency->stats().peak_resident_bytes, budget);
+  for (const int32_t tile_users : {3, 7, 8, 13}) {
+    MomentStoreOptions store_options;
+    store_options.tile_users = tile_users;
+    const MomentStore reference =
+        std::move(engine.BuildMomentStore(store_options)).ValueOrDie();
+    const size_t full_bytes = reference.ResidentBytes();
+    ASSERT_GT(full_bytes, 0u);
+    for (const size_t budget :
+         {size_t{0}, full_bytes / 3, full_bytes / 2, full_bytes * 2}) {
+      const std::string label = "tile_users " + std::to_string(tile_users) +
+                                " budget " + std::to_string(budget);
+      OutOfCoreBuildOptions options;
+      options.store = store_options;
+      options.budget_bytes = budget;
+      options.spill_dir = FreshSpillDir("matrix_" + std::to_string(tile_users) +
+                                        "_" + std::to_string(budget));
+      auto built = BuildMomentStoreOutOfCore(matrix, options);
+      ASSERT_TRUE(built.ok()) << label << ": " << built.status().ToString();
+      ASSERT_EQ(built->residency != nullptr, budget > 0) << label;
+
+      auto index = BuildPeerIndexFromStore(matrix, *built->store,
+                                           built->residency.get(), sim_options,
+                                           peer_options);
+      ASSERT_TRUE(index.ok()) << label << ": " << index.status().ToString();
+      EXPECT_EQ(Serialized(*index), reference_index) << label;
+
+      if (built->residency != nullptr) {
+        // The recorded resident peak respects the budget (the bench gate's
+        // exact property), and tiles actually page out when they must.
+        const TileResidencyStats& residency = built->residency->stats();
+        EXPECT_LE(residency.peak_resident_bytes, budget) << label;
+        if (budget < full_bytes) {
+          EXPECT_GT(residency.evictions, 0) << label;
+          EXPECT_GT(residency.spill_bytes_written, 0u) << label;
+        }
+        ASSERT_TRUE(built->residency->RestoreAll().ok()) << label;
+      }
+      EXPECT_TRUE(*built->store == reference) << label;
     }
-    ASSERT_TRUE(built->residency->RestoreAll().ok());
-    EXPECT_TRUE(*built->store == reference) << "budget " << budget;
   }
 }
 

@@ -180,8 +180,9 @@ Result<Dataset> LoadRatings(const Args& args) {
 /// sufficient-statistics engine without ever materializing the dense U^2
 /// similarity triangle. A non-zero `budget_bytes` routes the build through
 /// the out-of-core path instead (sim/tile_residency.h): the moment store is
-/// assembled via the spilling shuffle and swept under the byte budget, with
-/// overflow tiles paged to `spill_dir` — same artifact, bounded memory.
+/// filled one tile at a time by the engine's row sweep and swept under the
+/// byte budget, with overflow tiles paged to `spill_dir` — same artifact,
+/// bounded memory.
 Result<PeerIndex> BuildPeerGraph(const RatingMatrix& matrix, double delta,
                                  size_t budget_bytes,
                                  const std::string& spill_dir) {
